@@ -35,12 +35,15 @@ def bench_json_path(request) -> str:
 def append_bench_record(path: str, record: dict, label: str | None = None) -> None:
     """Append one run record to the ``BENCH_fig7.json`` trajectory.
 
-    Shared by every fig7 bench (bounded 50-record history, resilient to a
-    missing/corrupt file).  ``label`` — or the ``REPRO_BENCH_LABEL``
-    environment variable — tags the record's provenance so service-path
-    runs (jobs executed through ``repro-serve``) stay distinguishable
-    from direct-path runs in the trajectory; legacy records without the
-    field remain valid (readers must treat absence as direct-path).
+    Shared by every fig7 bench (bounded 50-record history).  A missing
+    file starts a fresh history; a file that is not a trajectory (bad
+    JSON, or no ``runs`` list) raises ``ValueError`` naming the path and
+    is left untouched, so a damaged history is never overwritten.
+    ``label`` — or the ``REPRO_BENCH_LABEL`` environment variable — tags
+    the record's provenance so service-path runs (jobs executed through
+    ``repro-serve``) stay distinguishable from direct-path runs in the
+    trajectory; legacy records without the field remain valid (readers
+    must treat absence as direct-path).
     """
     import json
 
@@ -49,13 +52,20 @@ def append_bench_record(path: str, record: dict, label: str | None = None) -> No
         record = {**record, "label": str(label)}
     doc = {"bench": "fig7_wallclock_stream", "runs": []}
     if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
+            try:
                 prev = json.load(fh)
-            if isinstance(prev.get("runs"), list):
-                doc["runs"] = prev["runs"]
-        except (OSError, ValueError):
-            pass
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: not valid JSON ({exc}); refusing to overwrite "
+                    "the bench history — repair or move the file"
+                ) from exc
+        if not (isinstance(prev, dict) and isinstance(prev.get("runs"), list)):
+            raise ValueError(
+                f"{path}: not a bench trajectory (expected an object with a "
+                "'runs' list); refusing to overwrite it"
+            )
+        doc["runs"] = prev["runs"]
     doc["runs"] = [*doc["runs"], record][-50:]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

@@ -748,7 +748,7 @@ class Experiment:
                 return loop.fit(feed, epochs=epochs, resume=resume)
             finally:
                 # Close before the outer finally removes the owned-shard
-                # layout, so no prefetch thread outlives its shard files —
+                # layout, so no read-ahead thread outlives its shard files —
                 # even when feed construction itself raised.
                 if rank_source is not None:
                     rank_source.close()
@@ -757,7 +757,7 @@ class Experiment:
             from repro.parallel import run_spmd
 
             # Sharded sources get true per-rank I/O ownership: a private
-            # shard directory, LRU, and prefetcher per DDP rank.
+            # shard directory, LRU, and read-ahead per DDP rank.
             layout = (
                 OwnedShardLayout.build(source.layout_path, nranks)
                 if isinstance(source, ShardDirSource) else None

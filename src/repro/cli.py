@@ -62,14 +62,14 @@ def _resolve_source(args, case) -> object | None:
 
     return open_source(
         args.source, max_cached=max_cached,
-        prefetch=getattr(args, "prefetch", 0),
+        prefetch=getattr(args, "prefetch", None),
     )
 
 
 def _check_source_flags(parser: argparse.ArgumentParser, args) -> None:
     """Source-flag sanity shared by the subsample and train commands."""
     sharded = bool(args.source) and args.source != "sim"
-    if args.prefetch and not sharded:
+    if args.prefetch is not None and not sharded:
         parser.error(
             "--prefetch applies only to shard-directory sources; the "
             f"{'in-situ simulation' if args.source == 'sim' else 'in-memory catalog'}"
@@ -171,14 +171,15 @@ def subsample_main(argv: list[str] | None = None) -> int:
              f"sources (default {_DEFAULT_MAX_CACHED})",
     )
     parser.add_argument(
-        "--prefetch", type=int, default=0,
-        help="shards to decode ahead in a background thread (shard-directory "
-             "sources only; overlaps decode with sampling)",
+        "--prefetch", type=int, default=None,
+        help="shards to read ahead of the consumer; a background thread "
+             "decodes their members while sampling computes (shard-directory "
+             "sources only; default 1, 0 turns read-ahead off)",
     )
     parser.add_argument(
         "--owned-shards", action="store_true",
         help="with --stream --ranks N over a shard directory: give each "
-             "rank its own disjoint shard set (private LRU + prefetcher) "
+             "rank its own disjoint shard set (private LRU + read-ahead) "
              "instead of one shared cache",
     )
     parser.add_argument(
@@ -235,7 +236,7 @@ def subsample_main(argv: list[str] | None = None) -> int:
             print(f"Saved subsample to {path} "
                   f"({store.reduction_factor(name, exp.source.nbytes()):.0f}x reduction)")
     finally:
-        # Teardown: join any background prefetch thread the source owns.
+        # Teardown: join any read-ahead thread the source owns.
         if source is not None and hasattr(source, "close"):
             source.close()
     return 0
@@ -298,9 +299,10 @@ def train_main(argv: list[str] | None = None) -> int:
              f"sources (default {_DEFAULT_MAX_CACHED})",
     )
     parser.add_argument(
-        "--prefetch", type=int, default=0,
-        help="shards to decode ahead in a background thread (shard-directory "
-             "sources only; overlaps decode with training)",
+        "--prefetch", type=int, default=None,
+        help="shards to read ahead of the consumer; a background thread "
+             "decodes their members while training computes (shard-directory "
+             "sources only; default 1, 0 turns read-ahead off)",
     )
     parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -360,7 +362,7 @@ def train_main(argv: list[str] | None = None) -> int:
                   f"({feed_meta.get('kind', 'StreamFeed')})")
         print(exp.train_artifact.result.report())
     finally:
-        # Teardown: join any background prefetch thread the source owns.
+        # Teardown: join any read-ahead thread the source owns.
         if source is not None and hasattr(source, "close"):
             source.close()
     return 0

@@ -3,7 +3,7 @@
 A shard directory written by :func:`repro.data.loaders.save_dataset` holds
 one shard per snapshot plus a ``manifest.json``.  How a shard is laid out
 on disk is the codec's business; everything above it — the bounded LRU,
-the background prefetcher, :class:`~repro.data.store.OwnedShardLayout`
+the member read-ahead, :class:`~repro.data.store.OwnedShardLayout`
 ownership splits, the remote staging tier — is codec-agnostic.  The
 registry mirrors the Sampler/CubeSelector/StreamSampler registries: codecs
 register by name, ``save_dataset(codec=...)`` selects one at write time
@@ -35,6 +35,7 @@ import abc
 import json
 import os
 import shutil
+import zipfile
 from typing import ClassVar
 
 import numpy as np
@@ -44,6 +45,8 @@ from repro.data.store import (
     LazyMembers,
     load_field,
     load_field_lazy,
+    read_npy,
+    read_npz_member,
     save_field,
 )
 from repro.sim.fields import FlowField
@@ -93,6 +96,11 @@ class ShardCodec(abc.ABC):
 
     #: registry key, stamped into manifests as ``"codec"``
     name: ClassVar[str]
+
+    #: whether decoding one member does real work (inflate, file reads)
+    #: that a read-ahead thread can overlap with the consumer's compute;
+    #: ``False`` where a member decode is only a memory map
+    decode_does_work: ClassVar[bool] = True
 
     # ---- layout ------------------------------------------------------------
 
@@ -220,10 +228,10 @@ class NpzCodec(ShardCodec):
         return load_field_lazy(self.shard_path(directory, index))
 
     def shard_time(self, directory: str, index: int) -> float:
-        # np.load decompresses entries on access, so reading just the
-        # scalar "time" entry never decodes the field arrays.
-        with np.load(self.shard_path(directory, index), allow_pickle=False) as data:
-            return float(data["time"])
+        # Members are compressed separately, so reading just the scalar
+        # "time" entry never decodes the field arrays.
+        with zipfile.ZipFile(self.shard_path(directory, index)) as zf:
+            return float(read_npz_member(zf, "time"))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +269,7 @@ class RawCodec(ShardCodec):
     """
 
     name = "raw"
+    decode_does_work = False
 
     def shard_name(self, index: int) -> str:
         return f"snapshot_{index:05d}.raw"
@@ -331,10 +340,10 @@ class ChunkedCodec(ShardCodec):
         _write_shard_meta(path, field, extra={"n_chunks": n_chunks})
 
     def _load_var(self, path: str, name: str, meta: dict) -> np.ndarray:
-        parts = [
-            np.load(os.path.join(path, f"{name}.c{c:04d}.npy"), allow_pickle=False)
-            for c in range(meta["n_chunks"])
-        ]
+        parts = []
+        for c in range(meta["n_chunks"]):
+            with open(os.path.join(path, f"{name}.c{c:04d}.npy"), "rb") as fh:
+                parts.append(read_npy(fh))
         return np.concatenate(parts).reshape(meta["shape"])
 
     def decode(self, directory: str, index: int) -> FlowField:

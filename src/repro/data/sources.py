@@ -15,14 +15,14 @@ implementations cover the ingestion spectrum:
 * :class:`ShardDirSource` — lazily loads per-snapshot shards written by
   :func:`repro.data.loaders.save_dataset` in any registered
   :mod:`~repro.data.codecs` layout (auto-detected from the manifest),
-  keeping at most ``max_cached`` decoded shards in a thread-safe LRU
+  keeping at most ``max_cached`` shards in a thread-safe LRU
   (out-of-core: the working set is bounded no matter how many shards the
-  dataset has).  :class:`ShardedNpzSource` is the back-compat name.
+  dataset has) and reading stored members ahead on a background thread.
 * :class:`RemoteTieredSource` — a :class:`ShardDirSource` whose shard
   directory lives behind a simulated object store: shards are staged to a
   bounded local-disk tier through a latency/bandwidth cost model before
   decoding, so RAM → local disk → remote tiering is exercised with the
-  same LRU/prefetch/ownership machinery.
+  same LRU/read-ahead/ownership machinery.
 * :class:`SimulationSource` — generates snapshots on demand from a
   replayable simulation factory (true in-situ: nothing is ever written to
   disk or held beyond a small rolling window; revisiting an earlier
@@ -33,13 +33,14 @@ source — the unit of work one SPMD rank streams in the multi-producer
 subsample (``repro.parallel.partition.stream_partitions`` decides the
 spans; per-rank samples are then recombined by weighted reservoir merge).
 
-Sources may also support *asynchronous prefetch*: :meth:`SnapshotSource.prefetch`
-is an advisory look-ahead hint (no-op by default);  ``ShardDirSource``
-honours it with a background decode thread so each consumer overlaps shard
-decode with sampling, and (with ``lazy=True``) decodes shard members per
-variable on first access — what "member decode" costs is the codec's
-business (npz decompresses one zip entry, raw memory-maps one file,
-chunked reads one variable's chunk files).
+Sources may also read ahead: :meth:`SnapshotSource.prefetch` is an
+advisory hint of the coming access order (no-op by default).
+``ShardDirSource`` decodes shard members per variable on first access —
+what "member decode" costs is the codec's business (npz decompresses one
+zip entry, raw memory-maps one file, chunked reads one variable's chunk
+files) — and, where that decode does real work, opens the next shards
+along the hint and decodes the members its consumer reads on a background
+thread, overlapping decode with sampling.
 
 :func:`open_source` is the one factory every entry point routes through:
 it resolves a source object (identity), a ``TurbulenceDataset``
@@ -54,13 +55,13 @@ from __future__ import annotations
 import abc
 import dataclasses
 import os
-import queue
 import shutil
 import tempfile
 import threading
 import urllib.parse
 import warnings
-from collections import OrderedDict
+import weakref
+from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
@@ -74,6 +75,7 @@ from repro.sim.fields import FlowField
 __all__ = [
     "SnapshotSource",
     "InMemorySource",
+    "DEFAULT_PREFETCH",
     "ShardDirSource",
     "ShardedNpzSource",
     "RemoteTieredSource",
@@ -176,13 +178,12 @@ class SnapshotSource(abc.ABC):
     # ---- accounting / hints ----------------------------------------------
 
     def prefetch(self, indices: Iterable[int]) -> None:
-        """Advisory hint that `indices` will be fetched soon.
+        """Advisory hint: the caller will fetch `indices`, in this order.
 
-        Default is a no-op; sources with asynchronous readers (e.g.
-        :class:`ShardedNpzSource` with ``prefetch > 0``) start loading the
-        named snapshots in the background so the caller's next
-        :meth:`snapshot` overlaps I/O with its own compute.  Never required
-        for correctness.
+        Default is a no-op.  :class:`ShardDirSource` reads ahead along the
+        hint: each :meth:`snapshot` opens the next hinted shards and a
+        background thread decodes their members while the caller computes.
+        Never required for correctness.
         """
         return None
 
@@ -269,8 +270,8 @@ class CacheCounters:
 
     * ``hits`` / ``misses`` — LRU lookups served from / not in RAM;
     * ``evictions`` — shards dropped from the RAM LRU;
-    * ``prefetched`` — shards decoded by the background prefetch thread;
-    * ``prefetch_hits`` — hits served from a prefetched entry;
+    * ``prefetched`` — shards opened ahead of the consumer (read-ahead);
+    * ``prefetch_hits`` — hits served from a read-ahead entry;
     * ``remote_fetches`` / ``remote_bytes`` — shard fetches (and their
       on-disk bytes) staged from the remote tier;
     * ``remote_wait_s`` — simulated seconds the latency/bandwidth model
@@ -330,6 +331,28 @@ class CacheInfo(dict):
             return default
 
 
+#: look-ahead depth of shard sources built without an explicit ``prefetch``
+DEFAULT_PREFETCH = 1
+
+
+class _DecodeOrder:
+    """Member names in first-decode order, shared by one source and the lazy
+    fields it opens.  The fields report into this object rather than into
+    the source, so a field never holds a reference back to its source."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._names: dict[str, None] = {}
+
+    def record(self, name: str) -> None:
+        with self._lock:
+            self._names.setdefault(name)
+
+    def names(self) -> list[str]:
+        with self._lock:
+            return list(self._names)
+
+
 class ShardDirSource(SnapshotSource):
     """Out-of-core source over per-snapshot shards on disk, any codec.
 
@@ -338,28 +361,45 @@ class ShardDirSource(SnapshotSource):
     resolved from the manifest's ``"codec"`` stamp against the
     :mod:`~repro.data.codecs` registry (directories from before the
     registry read as ``npz``), so every policy here — bounded LRU,
-    prefetch, ownership splits — is codec-agnostic.  Decoded shards live
-    in a thread-safe LRU holding at most ``max_cached`` snapshots, so
+    read-ahead, ownership splits — is codec-agnostic.  Shards live in a
+    thread-safe LRU holding at most ``max_cached`` snapshots, so
     subsampling an N-shard dataset never resides more than ``max_cached``
     shards in memory regardless of N.  :meth:`cache_info` exposes the
     counters the boundedness tests assert on (see :class:`CacheInfo`).
 
-    ``prefetch=N`` starts one background thread that eagerly decodes up to
-    ``N`` shards ahead of every access (and whatever :meth:`prefetch` names
-    explicitly) into the same bounded LRU, so a streaming consumer overlaps
-    shard decode with its own sampling compute; ``cache_info()`` counts the
-    hits served from prefetched entries.  ``lazy=True`` (the default)
-    decodes shard members per variable on first access — a consumer that
-    reads two of six variables pays for exactly those two (the prefetcher
-    still materializes whole shards: it exists to move decode off the
-    consumer's thread).
+    ``lazy=True`` (the default) opens a shard without reading its arrays
+    and decodes each stored member on first access, so a consumer that
+    reads two of six variables pays for exactly those two.
+
+    **Read-ahead.**  Each :meth:`snapshot` call also opens the next
+    ``prefetch`` shards the consumer is expected to read — the entries
+    after it in the latest :meth:`prefetch` hint, else the following
+    indices — and inserts them into the LRU as lazy fields (counted as
+    ``prefetched``; a later hit on one counts as a ``prefetch_hit``).  A
+    background thread then decodes, on those shards, the stored members
+    the consumer has decoded so far on any shard (members read through a
+    derived variable included).  Derived variables are never computed
+    ahead.  A consumer that reaches a member the thread is decoding waits
+    on that shard's member lock, so no member is decoded twice.  Opening
+    happens on the calling thread, which keeps every counter a
+    deterministic function of the access sequence.
+
+    Read-ahead runs only where it can pay: ``lazy`` fields, a codec whose
+    member decode does real work (``npz`` inflate, ``chunked`` file
+    reads — not ``raw``, whose decode is an mmap), and ``max_cached >= 2``.
+    The depth is ``prefetch`` capped at ``max_cached - 1``, so look-ahead
+    never evicts the shard being read; ``prefetch=0`` turns it off.  The
+    thread exits whenever it runs out of work, :meth:`close` stops it, and
+    no read-ahead thread is alive across an ``os.fork`` (it is stopped
+    before the fork and resumed in the parent only).
     """
 
     #: which storage tier serves decodes (overridden by remote wrappers)
     tier = "local"
 
     def __init__(
-        self, path: str, max_cached: int = 2, prefetch: int = 0, lazy: bool = True
+        self, path: str, max_cached: int = 2, prefetch: int = DEFAULT_PREFETCH,
+        lazy: bool = True,
     ) -> None:
         if max_cached < 1:
             raise ValueError("max_cached must be >= 1")
@@ -387,10 +427,17 @@ class ShardDirSource(SnapshotSource):
         self._times: np.ndarray | None = None
         self._stats = CacheCounters()
         self._max_resident = 0
-        self._inflight: set[int] = set()
-        self._from_prefetch: set[int] = set()
-        self._queue: queue.Queue[int | None] | None = None
+        self._decode_order = _DecodeOrder()
+        self._inflight: set[int] = set()  # shards being opened ahead
+        self._from_prefetch: set[int] = set()  # read-ahead entries not yet hit
+        self._hint: list[int] = []  # latest prefetch() order
+        self._hint_pos: dict[int, int] = {}  # shard -> position in _hint
+        self._pending: deque[int] = deque()  # opened ahead, members to decode
         self._worker: threading.Thread | None = None
+        self._stopping = False
+        self._closed = False
+        with _SOURCES_LOCK:
+            _SOURCES.add(self)
 
     @property
     def layout_path(self) -> str:
@@ -403,7 +450,7 @@ class ShardDirSource(SnapshotSource):
         """A fresh private source with this source's knobs over `path`
         (default: the same directory) — how owned-shard layouts and the
         process backend's forked workers get per-rank sources without
-        sharing LRU/prefetch state."""
+        sharing LRU/read-ahead state."""
         return ShardDirSource(
             self.layout_path if path is None else path,
             max_cached=self.max_cached, prefetch=self.prefetch_depth,
@@ -428,17 +475,26 @@ class ShardDirSource(SnapshotSource):
                 self._grid_shape = self.snapshot(0).grid_shape
             return self._grid_shape
 
+    @property
+    def readahead_depth(self) -> int:
+        """Shards opened ahead of each access (0 when read-ahead is off;
+        see the class docstring for when it runs)."""
+        if not (self.lazy and self.codec.decode_does_work):
+            return 0
+        return min(self.prefetch_depth, self.max_cached - 1)
+
     # ---- decode / cache internals -----------------------------------------
 
-    def _decode(self, i: int, materialize: bool = False) -> FlowField:
-        """Decode shard `i` through the codec (outside the lock, so
-        decodes overlap)."""
+    def _decode(self, i: int) -> FlowField:
+        """Open shard `i` through the codec (outside the lock, so decodes
+        overlap); lazy fields report their member decodes to this source."""
         self.shard_path(i)  # validate the index
         if not self.lazy:
             return self.codec.decode(self.path, i)
         field = self.codec.decode_lazy(self.path, i)
-        if materialize:
-            field.materialize()
+        members = getattr(field, "variables", None)
+        if isinstance(members, LazyMembers):
+            members.on_decode(self._decode_order.record)
         return field
 
     def _insert(self, i: int, field: FlowField) -> None:
@@ -464,99 +520,177 @@ class ShardDirSource(SnapshotSource):
                 if i in self._from_prefetch:
                     self._from_prefetch.discard(i)
                     self._stats.prefetch_hits += 1
-                self._schedule_lookahead(i)
-                return field
-            self._stats.misses += 1
-            self._schedule_lookahead(i)
-        # Decode outside the lock: concurrent ranks and the prefetcher make
-        # progress while this thread decompresses.
-        field = self._decode(i)
-        with self._lock:
-            racing = self._cache.get(i)
-            if racing is not None:  # the prefetcher beat us to it
-                self._cache.move_to_end(i)
-                self._from_prefetch.discard(i)
-                return racing
-            self._insert(i, field)
-            return field
+                ahead = self._claim(self._window_after(i))
+            else:
+                self._stats.misses += 1
+        if field is None:
+            # Decode outside the lock: concurrent ranks make progress while
+            # this thread reads.
+            field = self._decode(i)
+            with self._lock:
+                racing = self._cache.get(i)
+                if racing is not None:  # another consumer opened it first
+                    self._cache.move_to_end(i)
+                    field = racing
+                else:
+                    self._insert(i, field)
+                ahead = self._claim(self._window_after(i))
+        self._open_ahead(ahead)
+        return field
 
-    # ---- async prefetch ----------------------------------------------------
+    # ---- read-ahead --------------------------------------------------------
 
     def prefetch(self, indices: Iterable[int]) -> None:
-        """Queue explicit shards for background decode (advisory; no-op
-        unless the source was built with ``prefetch > 0``).
+        """Hint the order of the consumer's next shard reads (advisory).
 
-        At most ``prefetch_depth`` decodes are outstanding at once — a long
-        hint list is truncated rather than flooding the bounded LRU with
-        shards the consumer won't reach for a while (which would evict the
-        ones it is about to read).
+        Later :meth:`snapshot` calls read ahead along this order; the first
+        ``readahead_depth`` hinted shards are opened right away.  An access
+        to a shard outside the hint drops it (the consumer has moved on),
+        and look-ahead falls back to the following indices.  A no-op when
+        read-ahead is off.
         """
-        if self.prefetch_depth <= 0:
+        depth = self.readahead_depth
+        if depth == 0:
             return
+        order = list(dict.fromkeys(int(i) for i in indices))
         with self._lock:
-            for i in indices:
-                self._enqueue(int(i))
+            self._hint = order
+            self._hint_pos = {j: p for p, j in enumerate(order)}
+            ahead = self._claim(order[:depth])
+        self._open_ahead(ahead)
 
-    def _schedule_lookahead(self, i: int) -> None:
-        """Queue the next ``prefetch_depth`` shards after `i` (lock held)."""
-        for j in range(i + 1, min(i + 1 + self.prefetch_depth, self._n)):
-            self._enqueue(j)
+    def _window_after(self, i: int) -> list[int]:
+        """Shards the consumer should find open after reading `i`; the
+        caller holds the lock."""
+        depth = self.readahead_depth
+        if depth == 0:
+            return []
+        pos = self._hint_pos.get(i)
+        if pos is not None:
+            return self._hint[pos + 1 : pos + 1 + depth]
+        self._hint, self._hint_pos = [], {}
+        return list(range(i + 1, min(i + 1 + depth, self._n)))
 
-    def _enqueue(self, j: int) -> None:
-        """Queue shard `j` for background decode (caller holds the lock)."""
-        if self.prefetch_depth <= 0 or not 0 <= j < self._n:
-            return
-        if j in self._cache or j in self._inflight:
-            return
-        # Bound outstanding decodes to the look-ahead depth: a long hint
-        # list must not flood the bounded LRU with far-future shards.
-        if len(self._inflight) >= self.prefetch_depth:
-            return
-        if self._worker is None:
-            self._queue = queue.Queue()
-            self._worker = threading.Thread(
-                target=self._prefetch_loop, args=(self._queue,),
-                name="shard-prefetch", daemon=True,
-            )
-            self._worker.start()
-        self._inflight.add(j)
-        assert self._queue is not None
-        self._queue.put(j)
+    def _claim(self, window: list[int]) -> list[int]:
+        """Refresh `window`'s resident shards in the LRU and reserve the
+        others for opening; returns the reserved ones (lock held).
 
-    def _prefetch_loop(self, q: queue.Queue[int | None]) -> None:
-        while True:
-            j = q.get()
-            if j is None:
-                return
+        Touching the resident ones keeps the whole window (at most
+        ``max_cached - 1`` shards, plus the one just read) clear of the
+        evictions that opening the rest causes."""
+        ahead = []
+        for j in window:
+            if not 0 <= j < self._n or j in self._inflight:
+                continue
+            if j in self._cache:
+                self._cache.move_to_end(j)
+            else:
+                self._inflight.add(j)
+                ahead.append(j)
+        return ahead
+
+    def _open_ahead(self, ahead: list[int]) -> None:
+        """Open each reserved shard, insert it, and queue its member decode
+        for the read-ahead thread."""
+        for j in ahead:
             try:
-                field = self._decode(j, materialize=True)
+                field = self._decode(j)
             except Exception:
+                # Advisory only: the consumer meets the error itself if it
+                # ever reads this shard.
                 with self._lock:
                     self._inflight.discard(j)
                 continue
             with self._lock:
                 self._inflight.discard(j)
-                if j not in self._cache:
-                    self._insert(j, field)
-                    self._from_prefetch.add(j)
-                    self._stats.prefetched += 1
+                if j in self._cache:
+                    continue
+                self._insert(j, field)
+                self._from_prefetch.add(j)
+                self._stats.prefetched += 1
+                self._pending.append(j)
+                self._start_worker()
+
+    def _start_worker(self) -> None:
+        """Start the read-ahead thread when shards are queued and none runs
+        (lock held)."""
+        if self._pending and self._worker is None and not (
+            self._stopping or self._closed
+        ):
+            self._worker = threading.Thread(
+                target=self._readahead_loop, name="shard-readahead", daemon=True,
+            )
+            self._worker.start()
+
+    def _readahead_loop(self) -> None:
+        """Decode, on each queued shard, the members the consumer has read;
+        exits when the queue is empty or a stop is requested."""
+        while True:
+            with self._lock:
+                if self._stopping or not self._pending:
+                    self._worker = None
+                    return
+                j = self._pending.popleft()
+                field = self._cache.get(j)
+            members = getattr(field, "variables", None)
+            if isinstance(members, LazyMembers):
+                self._decode_members(j, field, members)
+
+    def _decode_members(self, j: int, field: FlowField, members: LazyMembers) -> None:
+        """Decode the consumer's members on shard `j` in first-read order,
+        re-reading that order after each member so names the consumer adds
+        meanwhile are picked up; stops once `j` is evicted."""
+        done: set[str] = set()
+        while True:
+            todo = [n for n in self._decode_order.names()
+                    if n not in done and n in members]
+            if not todo:
+                return
+            with self._lock:
+                if self._cache.get(j) is not field:
+                    return  # evicted before the consumer got to it
+                if self._stopping:
+                    self._pending.appendleft(j)  # finish after a fork
+                    return
+            done.add(todo[0])
+            try:
+                members[todo[0]]
+            except Exception:
+                # The consumer decodes (and raises) on its own access.
+                return
+
+    def _stop_worker(self) -> None:
+        """Stop the read-ahead thread after its current member and wait
+        for it; new work stays queued until :meth:`_resume`."""
+        with self._lock:
+            self._stopping = True
+            worker = self._worker
+        if worker is not None:
+            worker.join()
+
+    def _resume(self, forked_child: bool = False) -> None:
+        """Undo :meth:`_stop_worker`.  A forked child drops the parent's
+        queue (its fields are the child's copies, read on demand)."""
+        with self._lock:
+            self._stopping = False
+            if forked_child:
+                self._worker = None
+                self._pending.clear()
+            self._start_worker()
 
     def close(self) -> None:
-        """Stop and join the prefetch worker (idempotent).
+        """Stop and join the read-ahead thread (idempotent).
 
         Call when done with the source — directly, via the context manager,
-        or through the pipeline/CLI teardown — so long-lived processes (and
-        the thread-leak tests) never accumulate idle decode threads.  The
-        worker is a daemon, so even an unclosed source cannot block
-        interpreter exit.
+        or through the pipeline/CLI teardown.  No read-ahead thread starts
+        after ``close()``; the source still serves :meth:`snapshot`.
         """
         with self._lock:
-            worker, q = self._worker, self._queue
-            self._worker = None
-            self._queue = None
-        if worker is not None and q is not None:
-            q.put(None)
-            worker.join(timeout=5.0)
+            self._closed = True
+            self._pending.clear()
+        self._stop_worker()
+        with self._lock:
+            self._stopping = False
 
     def __enter__(self) -> ShardDirSource:
         return self
@@ -613,6 +747,37 @@ class ShardDirSource(SnapshotSource):
             )
 
 
+#: every live shard source, so a fork can stop their read-ahead threads
+_SOURCES: weakref.WeakSet[ShardDirSource] = weakref.WeakSet()
+_SOURCES_LOCK = threading.Lock()
+_PAUSED: list[ShardDirSource] = []
+
+
+def _before_fork() -> None:
+    """Stop every read-ahead thread: a forked child must not inherit locks
+    held by a thread that does not exist in it.  The registry lock is held
+    across the fork and released by the after-fork hooks."""
+    _SOURCES_LOCK.acquire()
+    _PAUSED[:] = list(_SOURCES)
+    for source in _PAUSED:
+        source._stop_worker()
+
+
+def _after_fork(forked_child: bool) -> None:
+    paused, _PAUSED[:] = list(_PAUSED), []
+    _SOURCES_LOCK.release()
+    for source in paused:
+        source._resume(forked_child)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_before_fork,
+        after_in_parent=lambda: _after_fork(False),
+        after_in_child=lambda: _after_fork(True),
+    )
+
+
 class ShardedNpzSource(ShardDirSource):
     """Back-compat name for :class:`ShardDirSource` (which now auto-detects
     any registered codec, npz included)."""
@@ -629,11 +794,11 @@ class RemoteTieredSource(ShardDirSource):
     bandwidth`` (accounted in ``counters["remote_wait_s"]``, not slept:
     benches stay fast and deterministic).  The staging tier is itself a
     bounded LRU of ``max_staged`` shards, so the three-tier residency
-    story is: at most ``max_cached`` decoded shards in RAM, at most
+    story is: at most ``max_cached`` shards in RAM, at most
     ``max_staged`` shard copies on local disk, everything in the remote.
 
-    Everything above the staging step — bounded LRU, background
-    prefetcher (which now overlaps *remote fetches* with sampling),
+    Everything above the staging step — bounded LRU, read-ahead (whose
+    member decodes re-stage evicted files on the background thread),
     ``cache_info()``, :class:`~repro.data.store.OwnedShardLayout` splits
     (built over ``remote_path``; per-rank sources stage privately) — is
     inherited from :class:`ShardDirSource` unchanged, for any codec.
@@ -642,7 +807,7 @@ class RemoteTieredSource(ShardDirSource):
     evicted from the staging tier may disappear from local disk, so
     snapshots must not be held across further ``snapshot()`` calls (the
     documented :class:`SnapshotSource` rule).  Shards resident in RAM or
-    queued for prefetch are never staging-evicted.
+    being opened ahead are never staging-evicted.
     """
 
     tier = "remote"
@@ -656,7 +821,7 @@ class RemoteTieredSource(ShardDirSource):
         latency_s: float = 0.01,
         bandwidth: float = 100e6,
         max_cached: int = 2,
-        prefetch: int = 0,
+        prefetch: int = DEFAULT_PREFETCH,
         lazy: bool = True,
     ) -> None:
         if max_staged < 1:
@@ -744,7 +909,7 @@ class RemoteTieredSource(ShardDirSource):
 
     def _evict_staged(self) -> None:
         """Drop least-recent staged shards down to ``max_staged`` (lock
-        held).  Shards resident in the RAM LRU, queued for prefetch, or
+        held).  Shards resident in the RAM LRU, being opened ahead, or
         mid-decode are skipped — their files are still being read."""
         while len(self._staged) > self.max_staged:
             victim = next(
@@ -759,7 +924,7 @@ class RemoteTieredSource(ShardDirSource):
             self._stats.staged_evictions += 1
             self.codec.remove_shard(self.path, victim)
 
-    def _decode(self, i: int, materialize: bool = False) -> FlowField:
+    def _decode(self, i: int) -> FlowField:
         """Stage shard `i` from the remote tier, then decode the staged
         copy (outside the lock, so fetches and decodes overlap).  The shard
         is pinned against staging eviction while the decode reads it, and a
@@ -771,7 +936,7 @@ class RemoteTieredSource(ShardDirSource):
             self._decoding[i] = self._decoding.get(i, 0) + 1
         try:
             self._stage(i)
-            field = super()._decode(i, materialize)
+            field = super()._decode(i)
         finally:
             with self._lock:
                 depth = self._decoding[i] - 1
@@ -799,7 +964,7 @@ class RemoteTieredSource(ShardDirSource):
         }
 
     def close(self) -> None:
-        """Stop the prefetcher, then remove an owned staging directory
+        """Stop the read-ahead thread, then remove an owned staging directory
         (a caller-supplied ``staging_dir`` is the caller's to clean)."""
         super().close()
         if self._owns_staging:
@@ -931,8 +1096,8 @@ class PartitionedSource(SnapshotSource):
     The unit of work one SPMD rank streams in the multi-producer subsample:
     rank `r` sees its span as snapshots ``0 .. hi-lo`` of an ordinary
     source, while coordinates, times, and values pass through unchanged from
-    the base.  Views share the base source (and therefore its cache /
-    prefetcher), so K ranks over one :class:`ShardDirSource` still respect
+    the base.  Views share the base source (and therefore its cache and
+    read-ahead), so K ranks over one :class:`ShardDirSource` still respect
     a single global residency bound.
     """
 
@@ -1063,7 +1228,7 @@ def open_source(
     spec,
     *,
     max_cached: int = 2,
-    prefetch: int = 0,
+    prefetch: int | None = None,
     lazy: bool = True,
 ) -> SnapshotSource:
     """Resolve anything the pipeline ingests to a :class:`SnapshotSource`.
@@ -1086,8 +1251,11 @@ def open_source(
       ``staging_dir``).
 
     ``max_cached`` / ``prefetch`` / ``lazy`` configure whichever
-    shard-backed source the spec resolves to.
+    shard-backed source the spec resolves to; ``prefetch=None`` keeps the
+    source default (:data:`DEFAULT_PREFETCH`).
     """
+    if prefetch is None:
+        prefetch = DEFAULT_PREFETCH
     if isinstance(spec, SnapshotSource):
         return spec
     if isinstance(spec, TurbulenceDataset):

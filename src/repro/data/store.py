@@ -9,8 +9,11 @@ against the raw fields they came from.
 
 from __future__ import annotations
 
+import ast
 import json
+import math
 import os
+import re
 import shutil
 import threading
 import zipfile
@@ -27,6 +30,8 @@ __all__ = [
     "save_field",
     "load_field",
     "load_field_lazy",
+    "read_npy",
+    "read_npz_member",
     "LazyMembers",
     "LazyField",
     "LazyNpzField",
@@ -119,17 +124,54 @@ def load_field(path: str) -> FlowField:
     return FlowField(variables=variables, time=time, meta=meta)
 
 
-def _npz_member_header(path: str, member: str) -> tuple[tuple[int, ...], np.dtype]:
-    """(shape, dtype) of one npz member from its npy header — the zip entry
-    is opened but the (compressed) array payload is never read."""
-    with zipfile.ZipFile(path) as zf:
-        with zf.open(member + ".npy") as fh:
-            version = _npformat.read_magic(fh)
-            if version == (1, 0):
-                shape, _, dtype = _npformat.read_array_header_1_0(fh)
-            else:
-                shape, _, dtype = _npformat.read_array_header_2_0(fh)
-    return tuple(int(s) for s in shape), dtype
+#: the header dict ``np.save`` writes for a plain (non-structured) dtype
+_NPY_HEADER = re.compile(
+    r"\{'descr': '([^']+)', 'fortran_order': (True|False), 'shape': \(([0-9, ]*)\), \}"
+)
+
+
+def _read_npy_header(fh) -> tuple[tuple[int, ...], np.dtype, bool]:
+    """(shape, dtype, fortran_order) from the header of the ``.npy`` stream
+    at `fh`, leaving `fh` at the start of the array bytes.
+
+    numpy parses the header with ``ast.literal_eval``.  CPython 3.11 keeps
+    AST-construction state per interpreter, not per thread, so two threads
+    parsing at once can fail with ``SystemError`` ("AST constructor
+    recursion depth mismatch") — and shard members are read on a
+    read-ahead thread while the consumer opens the next shard.  Headers in
+    ``np.save``'s plain form are therefore matched with a regular
+    expression; anything else (structured dtypes) falls back to ``ast``.
+    """
+    major, _ = _npformat.read_magic(fh)
+    size = int.from_bytes(fh.read(2 if major == 1 else 4), "little")
+    header = fh.read(size).decode("latin1" if major < 3 else "utf8")
+    match = _NPY_HEADER.match(header)
+    if match is None:
+        d = ast.literal_eval(header)
+        return tuple(d["shape"]), _npformat.descr_to_dtype(d["descr"]), d["fortran_order"]
+    descr, fortran, dims = match.groups()
+    shape = tuple(int(n) for n in dims.split(",") if n.strip())
+    return shape, np.dtype(descr), fortran == "True"
+
+
+def read_npy(fh) -> np.ndarray:
+    """Read one ``.npy`` stream: the array ``np.load`` returns for it, with
+    the header parsed by :func:`_read_npy_header` (thread-safe)."""
+    shape, dtype, fortran = _read_npy_header(fh)
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be read without pickle")
+    nbytes = math.prod(shape) * dtype.itemsize
+    data = fh.read(nbytes)
+    if len(data) != nbytes:
+        raise ValueError("truncated .npy payload")
+    arr = np.frombuffer(data, dtype=dtype).copy()  # writable, like np.load
+    return arr.reshape(shape[::-1]).transpose() if fortran else arr.reshape(shape)
+
+
+def read_npz_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
+    """Array ``name`` of an open npz archive (``np.load(path)[name]``)."""
+    with zf.open(f"{name}.npy") as fh:
+        return read_npy(fh)
 
 
 class LazyMembers(Mapping):
@@ -160,6 +202,7 @@ class LazyMembers(Mapping):
         self._load_all = load_all
         self._decoded: dict[str, np.ndarray] = {}
         self._decode_lock = threading.Lock()
+        self._on_decode: Callable[[str], None] | None = None
 
     def __getitem__(self, key: str) -> np.ndarray:
         # Benign race: atomic dict read of an immutable entry — a miss just
@@ -169,12 +212,16 @@ class LazyMembers(Mapping):
             return arr
         if key not in self._members:
             raise KeyError(key)
+        # One lock per shard: a thread asking for a member another thread
+        # is decoding waits here and then reads the stored array.
         with self._decode_lock:
             if key in self._decoded:  # racing thread decoded it
                 return self._decoded[key]
             arr = self._load_one(key)
             self._decoded[key] = arr
-            return arr
+        if self._on_decode is not None:
+            self._on_decode(key)
+        return arr
 
     def __contains__(self, key: object) -> bool:
         return key in self._members
@@ -184,6 +231,12 @@ class LazyMembers(Mapping):
 
     def __len__(self) -> int:
         return len(self._members)
+
+    def on_decode(self, callback: Callable[[str], None]) -> None:
+        """Call ``callback(name)`` after each member decoded through
+        ``[name]``, on whichever thread decoded it.  Shard sources use it
+        to learn which members their consumer reads."""
+        self._on_decode = callback
 
     def before_load(self, hook: Callable[[], None]) -> None:
         """Run ``hook()`` before every deferred member read (already-decoded
@@ -205,7 +258,7 @@ class LazyMembers(Mapping):
 
     def decode_all(self) -> None:
         """Decode every member, batched through ``load_all`` when the codec
-        provides one (the prefetcher's path)."""
+        provides one."""
         with self._decode_lock:
             missing = [k for k in self._members if k not in self._decoded]
             if not missing:
@@ -255,8 +308,7 @@ class LazyField(FlowField):
         return int(np.prod(self._lazy_shape)) * self._itemsize * len(self.variables)
 
     def materialize(self) -> LazyField:
-        """Decode every stored member in one I/O pass (the prefetcher's
-        eager path)."""
+        """Decode every stored member in one I/O pass."""
         self.variables.decode_all()
         return self
 
@@ -279,12 +331,12 @@ class LazyNpzField(LazyField):
         meta: dict | None = None,
     ) -> None:
         def load_one(key: str) -> np.ndarray:
-            with np.load(path, allow_pickle=False) as data:
-                return data[f"var_{key}"]
+            with zipfile.ZipFile(path) as zf:
+                return read_npz_member(zf, f"var_{key}")
 
         def load_all(missing: list[str]) -> dict[str, np.ndarray]:
-            with np.load(path, allow_pickle=False) as data:
-                return {k: data[f"var_{k}"] for k in missing}
+            with zipfile.ZipFile(path) as zf:
+                return {k: read_npz_member(zf, f"var_{k}") for k in missing}
 
         super().__init__(
             LazyMembers(members, load_one, load_all),
@@ -298,13 +350,17 @@ def load_field_lazy(path: str) -> LazyNpzField:
     Only the scalar ``time`` and JSON meta members are decompressed (both
     tiny); array members decode individually on first access.
     """
-    with np.load(path, allow_pickle=False) as data:
-        members = [k[4:] for k in data.files if k.startswith("var_")]
+    with zipfile.ZipFile(path) as zf:
+        names = [n[:-4] for n in zf.namelist() if n.endswith(".npy")]
+        members = [n[4:] for n in names if n.startswith("var_")]
         if not members:
             raise ValueError(f"{path!r} holds no field variables")
-        time = float(data["time"])
-        meta = json.loads(str(data[_META_KEYS])) if _META_KEYS in data.files else {}
-    shape, dtype = _npz_member_header(path, f"var_{members[0]}")
+        time = float(read_npz_member(zf, "time"))
+        meta = json.loads(str(read_npz_member(zf, _META_KEYS))) if _META_KEYS in names else {}
+        # The first member's header gives the geometry; its payload stays
+        # compressed.
+        with zf.open(f"var_{members[0]}.npy") as fh:
+            shape, dtype, _ = _read_npy_header(fh)
     return LazyNpzField(path, members, shape, dtype.itemsize, time, meta)
 
 
@@ -315,7 +371,7 @@ class OwnedShardLayout:
     through one shared :class:`~repro.data.sources.ShardDirSource` cache,
     each rank gets its own shard directory holding exactly its contiguous
     snapshot span — so each rank runs a private bounded LRU and a private
-    prefetch thread over a disjoint file set, with zero cross-rank cache
+    read-ahead thread over a disjoint file set, with zero cross-rank cache
     traffic.
 
     :meth:`build` materializes the layout in a fresh run-scoped temp
@@ -404,17 +460,19 @@ class OwnedShardLayout:
         return cls(root, path, spans)
 
     def rank_source(
-        self, rank: int, max_cached: int = 2, prefetch: int = 0, lazy: bool = True
+        self, rank: int, max_cached: int = 2, prefetch: int | None = None,
+        lazy: bool = True,
     ):
         """Open rank `rank`'s owned directory as a private
-        :class:`~repro.data.sources.ShardDirSource` (its own LRU and, with
-        ``prefetch > 0``, its own background decode thread — close it when
-        the rank is done).  The shard codec is auto-detected from the
+        :class:`~repro.data.sources.ShardDirSource` (its own LRU and
+        read-ahead; ``prefetch=None`` keeps the source default — close it
+        when the rank is done).  The shard codec is auto-detected from the
         per-rank manifest."""
         from repro.data.sources import ShardDirSource
 
+        knobs = {} if prefetch is None else {"prefetch": prefetch}
         return ShardDirSource(
-            self.rank_dir(rank), max_cached=max_cached, prefetch=prefetch, lazy=lazy
+            self.rank_dir(rank), max_cached=max_cached, lazy=lazy, **knobs
         )
 
     def remove(self) -> None:

@@ -1,7 +1,7 @@
 """RPL003 — lock discipline inside lock-owning classes.
 
 The thread-shared state in this codebase (the :class:`ShardDirSource`
-LRU and prefetcher bookkeeping, the :class:`RemoteTieredSource` staging
+LRU and read-ahead bookkeeping, the :class:`RemoteTieredSource` staging
 tier, :class:`SimulationSource` replay state, the :class:`CommWorld`
 mailbox table, lazy-member decode caches) follows one
 convention: a class owns a ``threading.Lock``/``RLock`` attribute, and

@@ -62,7 +62,8 @@ __all__ = [
 #: state gets its own entry on the subclass.
 GUARDED_CLASSES = (
     ("repro.data.sources", "ShardDirSource", "_lock",
-     ("_cache", "_stats", "_inflight", "_from_prefetch", "_worker", "_queue",
+     ("_cache", "_stats", "_inflight", "_from_prefetch", "_hint", "_hint_pos",
+      "_pending", "_worker", "_stopping", "_closed",
       "_grid_shape", "_shard_nbytes", "_times", "_max_resident")),
     ("repro.data.sources", "RemoteTieredSource", "_lock",
      ("_staged", "_staging", "_decoding")),

@@ -99,7 +99,7 @@ def subsample(
 
     The stream-only knobs: ``owned_shards`` gives each rank a private
     :class:`~repro.data.sources.ShardDirSource` over a disjoint shard set
-    (per-rank LRU + prefetcher, no shared cache), ``on_rank_failure``
+    (per-rank LRU + read-ahead, no shared cache), ``on_rank_failure``
     chooses between reweighting the merge by delivered mass
     (``"reweight"``) and failing the draw (``"raise"``) when a producer
     dies mid-span, and ``fault_hook`` injects such deaths for testing.

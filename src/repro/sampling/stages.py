@@ -64,7 +64,9 @@ __all__ = [
     "SubsampleResult",
     "PipelineContext",
     "Stage",
-    "iter_cube_values",
+    "iter_cube_blocks",
+    "cube_moments",
+    "cube_histograms",
     "CubeIndexStage",
     "Phase1SummarizeStage",
     "CubeSelectStage",
@@ -75,6 +77,10 @@ __all__ = [
 
 #: work units per point for ``method='full'`` (dense copy, no sampler object).
 FULL_METHOD_COST = 0.5
+
+#: cube values stacked per phase-1 block (bounds the block and its
+#: temporaries to a few MB whatever the snapshot size)
+BLOCK_POINTS = 1 << 16
 
 
 @dataclass
@@ -161,22 +167,77 @@ class Stage(Protocol):
     def run(self, ctx: PipelineContext) -> None: ...
 
 
-def iter_cube_values(ctx: PipelineContext):
-    """Yield ``(position, cluster-variable block)`` for this rank's cubes.
+def iter_cube_blocks(ctx: PipelineContext):
+    """Yield ``(position, block)`` runs of this rank's cubes.
 
-    Cubes arrive in (snapshot, origin) order, so each snapshot is fetched
-    from the source exactly once per contiguous run — chunk-by-chunk
-    consumption with residency bounded by the source, never a resident list
-    of per-cube values.
+    ``block`` is a ``(k, cube_points)`` array holding the cluster variable
+    of cubes ``position .. position + k - 1``, one cube per row in the
+    cube's C order.  Cubes arrive in (snapshot, origin) order, so each
+    snapshot is fetched from the source once per contiguous run, and a
+    block never spans two snapshots or exceeds :data:`BLOCK_POINTS` values
+    (but holds at least one cube).
     """
-    current = -1
-    snap = None
-    for i, (s, origin) in enumerate(ctx.my_cubes):
-        if s != current:
-            snap = ctx.source.snapshot(s)
-            current = s
-        slicer = tuple(slice(o, o + c) for o, c in zip(origin, ctx.cube_shape))
-        yield i, snap.get(ctx.cluster_var)[slicer]
+    cube_points = int(np.prod(ctx.cube_shape))
+    rows = max(1, BLOCK_POINTS // cube_points)
+    steps = [np.arange(c) for c in ctx.cube_shape]
+    lo = 0
+    while lo < len(ctx.my_cubes):
+        s = ctx.my_cubes[lo][0]
+        hi = lo
+        while hi < len(ctx.my_cubes) and hi - lo < rows and ctx.my_cubes[hi][0] == s:
+            hi += 1
+        origins = np.array([o for _, o in ctx.my_cubes[lo:hi]], dtype=np.intp)
+        values = ctx.source.snapshot(s).get(ctx.cluster_var)
+        # One fancy-index gather per block: axis a of cube j covers
+        # origins[j, a] + arange(cube_shape[a]).
+        d = len(steps)
+        index = tuple(
+            origins[:, a].reshape((-1,) + (1,) * d)
+            + step.reshape((1,) * (a + 1) + (-1,) + (1,) * (d - a - 1))
+            for a, step in enumerate(steps)
+        )
+        yield lo, np.asarray(values[index]).reshape(hi - lo, cube_points)
+        lo = hi
+
+
+def cube_moments(block: np.ndarray) -> np.ndarray:
+    """``(k, 4)`` mean, standard deviation, skewness and kurtosis of each
+    row of a ``(k, n)`` block of cube values, bitwise equal to computing
+    each row on its own with ``np.mean``/``np.std``."""
+    mean = block.mean(axis=1)
+    std = block.std(axis=1)
+    centred = block - mean[:, None]
+    # Denominators stay numpy scalar powers: a float64 scalar ``x**3``
+    # (libm pow) and the array power differ in the last bit for some x.
+    skew_den = np.array([max(sd**3, 1e-12) for sd in std])
+    kurt_den = np.array([max(sd**4, 1e-12) for sd in std])
+    return np.column_stack([
+        mean,
+        std,
+        (centred**3).mean(axis=1) / skew_den,
+        (centred**4).mean(axis=1) / kurt_den,
+    ])
+
+
+def cube_histograms(block: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``(k, bins)`` bin frequencies of each row of a ``(k, n)`` block on
+    `edges`, bitwise equal to ``np.histogram`` per row (bins closed on the
+    left, the last one on both sides; values outside the edges dropped; a
+    row with nothing inside is uniform)."""
+    k = block.shape[0]
+    bins = len(edges) - 1
+    bin_of = np.searchsorted(edges, block, side="right") - 1
+    bin_of[block == edges[-1]] = bins - 1
+    inside = (bin_of >= 0) & (bin_of < bins)
+    row_of = np.broadcast_to(np.arange(k)[:, None], block.shape)
+    counts = np.bincount(
+        (row_of * bins + bin_of)[inside], minlength=k * bins
+    ).reshape(k, bins)
+    totals = counts.sum(axis=1)
+    histograms = np.full((k, bins), 1.0 / bins)
+    filled = totals > 0
+    histograms[filled] = counts[filled] / totals[filled, None]
+    return histograms
 
 
 class CubeIndexStage:
@@ -200,10 +261,13 @@ class CubeIndexStage:
 class Phase1SummarizeStage:
     """Per-cube phase-1 statistics on globally agreed histogram edges.
 
-    Two streaming passes over this rank's share of the source: one to agree
-    on global histogram edges (min/max reduction), one to fill the per-cube
-    moments and histograms.  Neither pass materializes more than one
-    snapshot's worth of values at a time.
+    Two streaming passes over this rank's share of the source: one for the
+    per-cube moments and the local min/max that the global histogram edges
+    need (a min/max reduction), one to fill the histograms on those edges.
+    Both work on blocks of stacked cubes from one snapshot
+    (:func:`iter_cube_blocks`, :func:`cube_moments`,
+    :func:`cube_histograms`), so neither materializes more than one bounded
+    block at a time.
     """
 
     name = "phase1-summarize"
@@ -213,33 +277,23 @@ class Phase1SummarizeStage:
         # Advisory: tell an async source which snapshots this rank is about
         # to walk (twice), so decode overlaps the summarization compute.
         ctx.source.prefetch(dict.fromkeys(s for s, _ in ctx.my_cubes))
+        summaries = np.zeros((len(ctx.my_cubes), 4))
         local_min, local_max = np.inf, -np.inf
-        for _, vals in iter_cube_values(ctx):
-            local_min = min(local_min, float(vals.min()))
-            local_max = max(local_max, float(vals.max()))
+        for lo, block in iter_cube_blocks(ctx):
+            summaries[lo : lo + len(block)] = cube_moments(block)
+            local_min = min(local_min, float(block.min()))
+            local_max = max(local_max, float(block.max()))
         gmin = comm.allreduce(local_min, op="min")
         gmax = comm.allreduce(local_max, op="max")
         if gmin == gmax:
             gmax = gmin + 1.0
         ctx.edges = np.linspace(gmin, gmax, bins + 1)
 
-        summaries = np.zeros((len(ctx.my_cubes), 4))
         histograms = np.zeros((len(ctx.my_cubes), bins))
         scanned = 0
-        for i, vals in iter_cube_values(ctx):
-            flat = vals.reshape(-1)
-            scanned += flat.size
-            mean, std = flat.mean(), flat.std()
-            centred = flat - mean
-            summaries[i] = [
-                mean,
-                std,
-                (centred**3).mean() / max(std**3, 1e-12),
-                (centred**4).mean() / max(std**4, 1e-12),
-            ]
-            counts, _ = np.histogram(flat, bins=ctx.edges)
-            total = counts.sum()
-            histograms[i] = counts / total if total > 0 else 1.0 / bins
+        for lo, block in iter_cube_blocks(ctx):
+            histograms[lo : lo + len(block)] = cube_histograms(block, ctx.edges)
+            scanned += block.size
         ctx.summaries, ctx.histograms, ctx.scanned = summaries, histograms, scanned
         comm.account_compute(float(scanned))
         if ctx.meter is not None:

@@ -616,13 +616,13 @@ def run_stream_subsample(
     shared-memory transport; real wall-clock parallelism).  Both yield
     byte-identical samples and virtual clocks for the same (seed, nranks);
     on the process backend each rank reopens sharded sources privately so
-    no LRU/prefetch state crosses the fork.
+    no LRU/read-ahead state crosses the fork.
 
     ``owned_shards=True`` (sharded sources only) replaces the shared-cache
     :class:`~repro.data.sources.PartitionedSource` view with true per-rank
     I/O isolation: an :class:`~repro.data.store.OwnedShardLayout` gives
     every rank its own shard directory, private bounded LRU, and private
-    prefetch thread over a disjoint file set; per-rank ``cache_info()``
+    read-ahead thread over a disjoint file set; per-rank ``cache_info()``
     counters land in ``meta["cache"]`` with their cross-rank aggregate.
 
     Producers can die mid-span — for real (an exception while streaming) or
@@ -744,7 +744,7 @@ def run_stream_subsample(
                 src = source.reopen(layout.rank_dir(rank))
                 return src, src
             if backend == "process" and isinstance(source, ShardDirSource):
-                # Forked workers must not share the parent's LRU/prefetch
+                # Forked workers must not share the parent's LRU/read-ahead
                 # machinery (inherited locks and dead threads): reopen the
                 # shard directory privately inside the worker.
                 base = source.reopen()

@@ -168,7 +168,9 @@ def submit_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--backend", choices=("thread", "process"),
                         default="thread")
     parser.add_argument("--max-cached-shards", type=int, default=None)
-    parser.add_argument("--prefetch", type=int, default=0)
+    parser.add_argument("--prefetch", type=int, default=None,
+                        help="shards to read ahead (shard-directory sources "
+                             "only; default: the source default)")
     parser.add_argument("--owned-shards", action="store_true")
     parser.add_argument("--on-rank-failure", choices=("reweight", "raise"),
                         default=None)
@@ -242,7 +244,7 @@ def _build_spec(args) -> dict:
         spec["epochs"] = args.epochs
     if args.max_cached_shards is not None:
         spec["max_cached_shards"] = args.max_cached_shards
-    if args.prefetch:
+    if args.prefetch is not None:
         spec["prefetch"] = args.prefetch
     if args.owned_shards:
         spec["owned_shards"] = True

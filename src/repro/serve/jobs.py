@@ -47,7 +47,7 @@ class JobSpec:
     scale: float = 1.0
     epochs: int | None = None
     max_cached_shards: int | None = None
-    prefetch: int = 0
+    prefetch: int | None = None  # None: the source default
     owned_shards: bool = False
     on_rank_failure: str | None = None
     stream_shuffle: int = 0
@@ -126,7 +126,9 @@ class JobSpec:
             raise JobSpecError("stream_shuffle must be >= 0")
 
         sharded = bool(self.source) and self.source != "sim"
-        if self.prefetch and not sharded:
+        if self.prefetch is not None and self.prefetch < 0:
+            raise JobSpecError("prefetch must be >= 0")
+        if self.prefetch is not None and not sharded:
             raise JobSpecError(
                 "prefetch applies only to shard-directory sources; the "
                 "catalog/sim source has no shards to decode ahead"

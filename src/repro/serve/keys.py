@@ -85,7 +85,7 @@ def source_fingerprint(
     scale: float,
     seed: int,
     max_cached: int | None = None,
-    prefetch: int = 0,
+    prefetch: int | None = None,
 ) -> dict:
     """Identity document for a job's data source.
 
@@ -97,7 +97,9 @@ def source_fingerprint(
     Remote-tier options (``latency_s``, ``bandwidth``) are part of the
     identity — they drive the virtual-time cost model, whose totals land
     in artifact metadata — as are ``max_cached`` / ``prefetch``, whose
-    cache counters land in stream-mode ``result.meta["cache"]``.
+    cache counters land in stream-mode ``result.meta["cache"]``.  An
+    omitted ``prefetch`` (``None``) keys as the source default, so it and
+    the same value spelled out are one job.
     """
     base = {"dtype": dtype, "scale": float(scale), "seed": int(seed)}
     if source is None:
@@ -105,7 +107,7 @@ def source_fingerprint(
     if source == "sim":
         return {"kind": "sim", **base,
                 "max_cached": max_cached if max_cached is not None else 2}
-    from repro.data.sources import _parse_source_spec
+    from repro.data.sources import DEFAULT_PREFETCH, _parse_source_spec
 
     scheme, path, options = _parse_source_spec(source)
     return {
@@ -113,7 +115,7 @@ def source_fingerprint(
         "content": dir_fingerprint(path),
         "options": {str(k): str(v) for k, v in options.items()},
         "max_cached": max_cached if max_cached is not None else 2,
-        "prefetch": int(prefetch),
+        "prefetch": DEFAULT_PREFETCH if prefetch is None else int(prefetch),
         "dtype": dtype,
     }
 

@@ -147,6 +147,38 @@ class TestSourceFingerprint:
         assert source_fingerprint(shard_dir, prefetch=2, **kw) != base
         assert source_fingerprint(shard_dir, max_cached=5, **kw) != base
 
+    def test_omitted_prefetch_keys_as_the_source_default(self, tmp_path):
+        from repro.data import build_dataset, save_dataset
+        from repro.data.sources import DEFAULT_PREFETCH
+
+        shard_dir = str(tmp_path / "shards")
+        save_dataset(
+            build_dataset("SST-P1F4", scale=0.5, rng=0, n_snapshots=2),
+            shard_dir)
+        kw = {"dtype": "sst-binary", "scale": 0.5, "seed": 0}
+        base = source_fingerprint(shard_dir, **kw)
+        assert source_fingerprint(shard_dir, prefetch=DEFAULT_PREFETCH, **kw) == base
+        assert source_fingerprint(shard_dir, prefetch=0, **kw) != base
+        case = copy.deepcopy(TINY_CASE)
+        omitted = JobSpec.from_json({"kind": "subsample", "case": case,
+                                     "source": shard_dir})
+        spelled = JobSpec.from_json({"kind": "subsample", "case": case,
+                                     "source": shard_dir,
+                                     "prefetch": DEFAULT_PREFETCH})
+        assert omitted.prefetch is None
+        assert omitted.content_key() == spelled.content_key()
+
+    def test_explicit_prefetch_requires_a_shard_source(self):
+        case = copy.deepcopy(TINY_CASE)
+        JobSpec.from_json({"kind": "subsample", "case": case}).validate()
+        for value in (0, 2):
+            with pytest.raises(JobSpecError, match="shard-directory"):
+                JobSpec.from_json({"kind": "subsample", "case": case,
+                                   "prefetch": value}).validate()
+        with pytest.raises(JobSpecError, match=">= 0"):
+            JobSpec.from_json({"kind": "subsample", "case": case, "source": "x",
+                               "prefetch": -1}).validate()
+
 
 class TestArtifactFingerprint:
     def meta(self) -> dict:

@@ -152,3 +152,23 @@ class TestSpecParity:
             "kind": "subsample", "case": copy.deepcopy(TINY_CASE),
             "seed": 3, "ranks": 2, "scale": 0.5}).content_key()
         assert via_cli == direct
+
+    def test_prefetch_sent_only_when_given(self, case_file):
+        """An omitted --prefetch leaves the source default to the server; an
+        explicit value, 0 included, is sent."""
+        import argparse
+
+        from repro.serve.cli import _build_spec
+
+        def spec(prefetch):
+            return _build_spec(argparse.Namespace(
+                tune=None, train=False, case=case_file, seed=0, ranks=1,
+                scale=0.5, stream=False, backend="thread", retries=0,
+                source="shards/", epochs=None, max_cached_shards=None,
+                prefetch=prefetch, owned_shards=False, on_rank_failure=None,
+                inject_rank_failure=None, stream_shuffle=0,
+                checkpoint_every=1))
+
+        assert "prefetch" not in spec(None)
+        assert spec(0)["prefetch"] == 0
+        assert spec(3)["prefetch"] == 3

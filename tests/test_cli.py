@@ -195,6 +195,36 @@ class TestFlagValidation:
             subsample_main([sst_case, "--source", "sim", "--prefetch", "2"])
         assert "in-situ" in capsys.readouterr().err
 
+    def test_explicit_prefetch_zero_also_requires_shard_source(self, sst_case,
+                                                              capsys):
+        with pytest.raises(SystemExit):
+            subsample_main([sst_case, "--prefetch", "0"])
+        assert "--prefetch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,depth", [([], None), (["--prefetch", "0"], 0),
+                                             (["--prefetch", "2"], 2)])
+    def test_prefetch_defaults_to_the_source_default(self, sst_case, tmp_path,
+                                                     monkeypatch, flags, depth):
+        import repro.data
+        from repro.data import build_dataset, save_dataset
+        from repro.data.sources import DEFAULT_PREFETCH
+
+        shard_dir = str(tmp_path / "shards")
+        save_dataset(build_dataset("SST-P1F4", scale=0.5, rng=0, n_snapshots=2),
+                     shard_dir)
+        opened = []
+        open_source = repro.data.open_source
+
+        def recording_open_source(spec, **kw):
+            opened.append(open_source(spec, **kw))
+            return opened[-1]
+
+        monkeypatch.setattr(repro.data, "open_source", recording_open_source)
+        assert subsample_main([sst_case, "--scale", "0.5", "--source", shard_dir,
+                               *flags]) == 0
+        want = DEFAULT_PREFETCH if depth is None else depth
+        assert [src.prefetch_depth for src in opened] == [want]
+
     def test_max_cached_warns_without_source(self, sst_case, capsys):
         code = subsample_main([sst_case, "--scale", "0.5",
                                "--max-cached-shards", "3"])
