@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from repro.data import ShardedNpzSource, open_source, save_dataset
+from repro.data import ShardDirSource, open_source, save_dataset
 from repro.metrics import find_knee, speedup_series
 from repro.parallel.perfmodel import PerfModel
 from repro.sampling import subsample
@@ -146,7 +146,7 @@ def test_fig7_streaming_multirank(benchmark, sst_p1f4_dataset, tmp_path):
 
         times, cache_infos = [], []
         for p in STREAM_RANKS:
-            source = ShardedNpzSource(str(shard_dir), max_cached=4, prefetch=2)
+            source = ShardDirSource(str(shard_dir), max_cached=4, prefetch=2)
             # Warm the background decoder before the producers start, so
             # the first shard access is a prefetch hit by construction
             # (otherwise fast consumer decodes can win every insert race
@@ -160,7 +160,7 @@ def test_fig7_streaming_multirank(benchmark, sst_p1f4_dataset, tmp_path):
                             model=MODEL, mode="stream")
             source.close()
             times.append(res.virtual_time)
-            cache_infos.append(source.cache_info()["counters"])
+            cache_infos.append(source.cache_info())
         return times, cache_infos
 
     times, cache_infos = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -173,8 +173,8 @@ def test_fig7_streaming_multirank(benchmark, sst_p1f4_dataset, tmp_path):
             "stream_time_s": times[i],
             "speedup": series.speedup[i],
             "efficiency": series.efficiency[i],
-            "prefetched": cache_infos[i]["prefetched"],
-            "prefetch_hits": cache_infos[i]["prefetch_hits"],
+            "prefetched": cache_infos[i]["counters"]["prefetched"],
+            "prefetch_hits": cache_infos[i]["counters"]["prefetch_hits"],
         })
     table = format_table(
         rows, title="Fig 7 (streaming) — multi-producer stream subsample, virtual time"
@@ -189,7 +189,7 @@ def test_fig7_streaming_multirank(benchmark, sst_p1f4_dataset, tmp_path):
     summary = (
         f"\nspeedup @ {STREAM_RANKS[-1]} ranks: {series.speedup[-1]:.2f}x"
         f" (efficiency {series.efficiency[-1]:.2f})"
-        f"\nprefetch hits @ max ranks: {cache_infos[-1]['prefetch_hits']}"
+        f"\nprefetch hits @ max ranks: {cache_infos[-1]['counters']['prefetch_hits']}"
         " (decode overlapped with sampling)"
     )
     emit("fig7_streaming_multirank", table + "\n\n" + plot + summary)
@@ -201,23 +201,21 @@ def test_fig7_streaming_multirank(benchmark, sst_p1f4_dataset, tmp_path):
     assert times[idx4] < times[0]
     # The background prefetcher decoded and served shards on every run
     # (the pre-run warm-up makes shard 0 a prefetch hit by construction).
-    assert all(info["prefetched"] >= 1 for info in cache_infos)
-    assert all(info["prefetch_hits"] >= 1 for info in cache_infos)
+    assert all(info["counters"]["prefetched"] >= 1 for info in cache_infos)
+    assert all(info["counters"]["prefetch_hits"] >= 1 for info in cache_infos)
 
 
-def test_fig7_owned_vs_shared_io(benchmark, sst_p1f4_dataset, tmp_path):
-    """Owned-shard vs shared-cache I/O for the multi-producer stream.
+def test_fig7_per_rank_io(benchmark, sst_p1f4_dataset, tmp_path):
+    """Per-rank I/O accounting for the multi-producer stream.
 
-    Shared mode routes every rank through one ShardedNpzSource LRU (lock
-    contention, cross-rank evictions); owned mode gives each rank a private
-    source over a disjoint shard set (OwnedShardLayout).  Reports the
-    virtual + wall makespan of both and the per-rank cache counters that
-    prove ownership: in owned mode each rank decodes exactly its own span
-    and the per-rank counters sum to the dataset's total I/O.
+    Every rank streams a private span source of the shard directory (its
+    own LRU, counters and read-ahead), so ``meta["cache"]`` holds one
+    ``cache_info()`` per rank plus their sum.  Reports the virtual + wall
+    makespan and the per-rank counters, and checks the accounting: each
+    rank decodes exactly its own span, the per-rank counters sum to the
+    dataset's total I/O, and no rank holds more than ``max_cached`` shards.
     """
     import time as _time
-
-    from repro.data import aggregate_cache_info
 
     shard_dir = tmp_path / "shards"
     save_dataset(sst_p1f4_dataset, str(shard_dir))
@@ -226,59 +224,47 @@ def test_fig7_owned_vs_shared_io(benchmark, sst_p1f4_dataset, tmp_path):
     ranks = 4
 
     def run():
-        out = {}
-        for mode in ("shared", "owned"):
-            source = ShardedNpzSource(str(shard_dir), max_cached=2)
-            t0 = _time.perf_counter()
-            res = subsample(source, case, nranks=ranks, seed=0, model=MODEL,
-                            mode="stream", owned_shards=(mode == "owned"))
-            wall = _time.perf_counter() - t0
-            info = (res.meta["cache"]["per_rank"] if mode == "owned"
-                    else [source.cache_info()])
-            source.close()
-            out[mode] = (res, wall, info)
-        return out
+        source = ShardDirSource(str(shard_dir), max_cached=2)
+        t0 = _time.perf_counter()
+        res = subsample(source, case, nranks=ranks, seed=0, model=MODEL,
+                        mode="stream")
+        wall = _time.perf_counter() - t0
+        source.close()
+        return res, wall
 
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    res, wall = benchmark.pedantic(run, rounds=1, iterations=1)
+    per_rank, total = res.meta["cache"]["per_rank"], res.meta["cache"]["total"]
+    spans = [p["span"] for p in res.meta["producers"]]
     rows = []
-    for mode, (res, wall, infos) in out.items():
-        agg = aggregate_cache_info(infos)
+    for info, (lo, hi) in zip(per_rank, spans):
+        c = info["counters"]
         rows.append({
-            "mode": mode,
-            "virtual_time_s": res.virtual_time,
-            "wall_time_s": wall,
-            "caches": agg["ranks"],
-            "decodes": agg["decodes"],
-            "hits": agg["hits"],
-            "evictions": agg["evictions"],
+            "span": f"[{lo}, {hi})",
+            "misses": c["misses"],
+            "prefetched": c["prefetched"],
+            "hits": c["hits"],
+            "evictions": c["evictions"],
+            "max_resident": info["gauges"]["max_resident"],
         })
     table = format_table(
-        rows, title=f"Fig 7 (owned vs shared) — {ranks}-rank stream I/O makespan"
+        rows, title=f"Fig 7 (per-rank I/O) — {ranks}-rank stream over span sources"
     )
-    owned_infos = out["owned"][2]
-    per_rank = "\nowned per-rank (misses, prefetched): " + ", ".join(
-        f"r{r}=({i['counters']['misses']}, {i['counters']['prefetched']})"
-        for r, i in enumerate(owned_infos)
+    summary = (
+        f"\nvirtual makespan {res.virtual_time:.4f} s, wall {wall:.3f} s, "
+        f"total decodes {total['decodes']} over {total['ranks']} rank caches"
     )
-    emit("fig7_owned_vs_shared", table + per_rank)
+    emit("fig7_per_rank_io", table + summary)
 
-    owned_res, _, _ = out["owned"]
-    shared_res, _, _ = out["shared"]
-    # Same decomposition, same seeds — the draw itself must be identical.
-    assert np.array_equal(owned_res.points.coords, shared_res.points.coords)
-    # Ownership: no cross-rank cache sharing — each rank decodes exactly its
-    # own span, and the per-rank counters sum to the dataset's total I/O
-    # (plus the one decode the pre-stream value-range resolution does on
-    # the base source, which no rank cache ever sees).
-    spans = [p["span"] for p in owned_res.meta["producers"]]
-    for info, (lo, hi) in zip(owned_infos, spans):
+    # No cross-rank cache sharing: each rank decodes exactly its own span,
+    # and the per-rank counters sum to the dataset's total I/O (the one
+    # decode the pre-stream value-range resolution does on the base source
+    # is in no rank's cache).
+    for info, (lo, hi) in zip(per_rank, spans):
         c = info["counters"]
         assert c["misses"] + c["prefetched"] == hi - lo
-    total = aggregate_cache_info(owned_infos)
+        assert info["gauges"]["max_resident"] <= 2
+    assert total["ranks"] == ranks
     assert total["decodes"] == n_shards
-    # The virtual makespan is decomposition-driven, so owned mode must not
-    # regress it (the win is contention/isolation, visible in wall time).
-    assert owned_res.virtual_time <= shared_res.virtual_time * 1.05
 
 
 WALL_RANKS = [1, 2, 4]
@@ -313,7 +299,7 @@ def test_fig7_wallclock_backends(benchmark, sst_p1f100_dataset, tmp_path,
         entries, samples = [], {}
         for bk in ("thread", "process"):
             for p in WALL_RANKS:
-                source = ShardedNpzSource(str(shard_dir), max_cached=4)
+                source = ShardDirSource(str(shard_dir), max_cached=4)
                 t0 = _time.perf_counter()
                 res = subsample(source, case, nranks=p, seed=0, model=MODEL,
                                 mode="stream", backend=bk)

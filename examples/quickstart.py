@@ -8,7 +8,7 @@ ingestion protocol:
   2. run the two-phase MaxEnt pipeline (hypercube selection + point
      selection) at a 10% rate via ``Experiment...subsample()``,
   3. re-run the *same* pipeline out-of-core: shard the dataset to disk and
-     subsample through a ``ShardedNpzSource`` that never holds more than
+     subsample through a ``ShardDirSource`` that never holds more than
      two decoded shards — identical selections, bounded memory,
   4. compare the sampled subset's PDF against the population,
   5. persist the subsample as a first-class Artifact and report the
@@ -29,7 +29,7 @@ import tempfile
 import numpy as np
 
 from repro.api import Experiment
-from repro.data import ShardedNpzSource, build_dataset, save_dataset
+from repro.data import ShardDirSource, build_dataset, save_dataset
 from repro.metrics import pdf_match_js, tail_coverage
 from repro.sampling import get_sampler
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
@@ -76,15 +76,16 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         shard_dir = os.path.join(tmp, "shards")
         save_dataset(dataset, shard_dir)
-        source = ShardedNpzSource(shard_dir, max_cached=2)
+        source = ShardDirSource(shard_dir, max_cached=2)
         ooc = (Experiment.from_case(make_case())
                .with_source(source).with_ranks(2).with_seed(0).subsample())
         ooc_result = ooc.subsample_artifact.result
         info = source.cache_info()
         assert np.array_equal(ooc_result.selected_cube_ids, result.selected_cube_ids)
         print(f"Out-of-core rerun over {source.n_snapshots} shards: identical "
-              f"selections, never more than {info['max_resident']} decoded "
-              f"shard(s) resident ({info['evictions']} evictions).")
+              f"selections, never more than {info['gauges']['max_resident']} "
+              f"decoded shard(s) resident ({info['counters']['evictions']} "
+              "evictions).")
 
     # How well does the sample represent the population PDF?
     population = np.concatenate([s.get("pv").ravel() for s in dataset.snapshots])

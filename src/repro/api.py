@@ -63,13 +63,13 @@ from repro.data.dataset import TurbulenceDataset
 from repro.data.points import PointSet
 from repro.data.sources import (
     InMemorySource,
-    PartitionedSource,
     ShardDirSource,
     SnapshotSource,
+    aggregate_cache_info,
     open_source,
 )
 from repro.data.store import META_KEY as _META_KEY
-from repro.data.store import OwnedShardLayout, points_from_npz, points_payload
+from repro.data.store import points_from_npz, points_payload
 from repro.energy.meter import EnergyMeter
 from repro.sampling.pipeline import SubsampleResult, subsample
 from repro.train import build_drag_data, build_reconstruction_data
@@ -555,7 +555,6 @@ class Experiment:
         self,
         mode: str = "batch",
         ranks: int | None = None,
-        owned_shards: bool = False,
         on_rank_failure: str = "raise",
         fault_hook=None,
     ) -> Experiment:
@@ -570,25 +569,22 @@ class Experiment:
         with per-rank sampler states recombined by weighted merge.
 
         Stream-only knobs (see :func:`repro.sampling.pipeline.subsample`):
-        ``owned_shards`` isolates per-rank shard I/O behind an
-        :class:`~repro.data.store.OwnedShardLayout`; ``on_rank_failure``
-        picks the partial-stream policy (``"reweight"`` merges what failed
-        producers delivered, ``"raise"`` fails the draw); ``fault_hook``
-        injects producer deaths for testing.
+        ``on_rank_failure`` picks the partial-stream policy (``"reweight"``
+        merges what failed producers delivered, ``"raise"`` fails the
+        draw); ``fault_hook`` injects producer deaths for testing.
         """
         if ranks is None:
             ranks = self.ranks
         elif ranks < 1:
             raise ValueError("ranks must be >= 1")
         result = subsample(self.source, self.case, nranks=int(ranks),
-                           seed=self.seed, mode=mode, owned_shards=owned_shards,
+                           seed=self.seed, mode=mode,
                            on_rank_failure=on_rank_failure, fault_hook=fault_hook,
                            backend=self.backend)
         self.artifacts["subsample"] = SubsampleArtifact(
             meta={"seed": self.seed, "case": self.case.to_dict(),
                   "ranks": int(ranks), "scale": self.scale, "mode": mode,
                   "backend": self.backend,
-                  "owned_shards": bool(owned_shards),
                   "on_rank_failure": on_rank_failure,
                   "source": type(self.source).__name__},
             result=result,
@@ -611,8 +607,10 @@ class Experiment:
         stream-mode subsample's sampled points become fixed sensors and
         windows are built incrementally as snapshots arrive from the source
         — bounded memory, no resident dataset; with ``with_train_ranks(N)``
-        each DDP rank streams its own snapshot span (per-rank feeds over an
-        :class:`~repro.data.store.OwnedShardLayout` for sharded sources).
+        each DDP rank streams its own snapshot span through
+        ``source.span(lo, hi)`` (a private source per rank for shard
+        directories, whose per-rank cache counters land in the fit's
+        ``meta["cache"]``).
 
         ``checkpoint`` writes a resumable checkpoint every
         ``checkpoint_every`` epochs; ``resume`` continues a fit from one,
@@ -710,65 +708,51 @@ class Experiment:
         source = self.source
         points = result.points
         nranks = self.train_ranks
+        sharded = isinstance(source, ShardDirSource)
 
-        def run(comm=None, layout=None) -> TrainResult:
-            rank_source = None  # a per-rank private source this rank must close
+        def fit(feed, comm=None) -> TrainResult:
+            spec = feed.spec
+            model = build_model_for_case(case, spec, input_dim=spec.input_dim,
+                                         rng=self.seed)
+            loop = self._loop_for(model, comm=comm, checkpoint=checkpoint,
+                                  checkpoint_every=checkpoint_every,
+                                  extra_callbacks=callbacks)
+            return loop.fit(feed, epochs=epochs, resume=resume)
+
+        def run_rank(comm):
+            from repro.parallel.partition import stream_partitions
+
+            part = stream_partitions(source.n_snapshots, comm.size)[comm.rank]
+            rank_source = source.span(part.lo, part.hi)
             try:
-                if comm is not None and comm.size > 1:
-                    from repro.parallel.partition import stream_partitions
-
-                    parts = stream_partitions(source.n_snapshots, comm.size)
-                    part = parts[comm.rank]
-                    if layout is not None:
-                        # reopen() keeps the source's own knobs (and tier:
-                        # remote ranks stage their owned shards privately).
-                        rank_source = source.reopen(layout.rank_dir(comm.rank))
-                        span_source = rank_source
-                    else:
-                        span_source = PartitionedSource(source, part.lo, part.hi)
-                    assembler = stream_assembler(span_source, case, points)
-                    feed = ShardedFeed.for_rank(
-                        comm, span_source, assembler, source.n_snapshots,
-                        batch=case.train.batch, test_frac=case.train.test_frac,
-                        seed=self.seed, shuffle=self.stream_shuffle,
-                    )
-                else:
-                    assembler = stream_assembler(source, case, points)
-                    feed = StreamFeed(
-                        source, assembler, batch=case.train.batch,
-                        test_frac=case.train.test_frac, seed=self.seed,
-                        shuffle=self.stream_shuffle,
-                    )
-                spec = feed.spec
-                model = build_model_for_case(case, spec, input_dim=spec.input_dim,
-                                             rng=self.seed)
-                loop = self._loop_for(model, comm=comm, checkpoint=checkpoint,
-                                      checkpoint_every=checkpoint_every,
-                                      extra_callbacks=callbacks)
-                return loop.fit(feed, epochs=epochs, resume=resume)
+                assembler = stream_assembler(rank_source, case, points)
+                feed = ShardedFeed.for_rank(
+                    comm, rank_source, assembler, source.n_snapshots,
+                    batch=case.train.batch, test_frac=case.train.test_frac,
+                    seed=self.seed, shuffle=self.stream_shuffle,
+                )
+                fitted = fit(feed, comm)
+                return fitted, rank_source.cache_info() if sharded else None
             finally:
-                # Close before the outer finally removes the owned-shard
-                # layout, so no read-ahead thread outlives its shard files —
-                # even when feed construction itself raised.
-                if rank_source is not None:
-                    rank_source.close()
+                rank_source.close()
 
         if nranks > 1:
             from repro.parallel import run_spmd
 
-            # Sharded sources get true per-rank I/O ownership: a private
-            # shard directory, LRU, and read-ahead per DDP rank.
-            layout = (
-                OwnedShardLayout.build(source.layout_path, nranks)
-                if isinstance(source, ShardDirSource) else None
-            )
-            try:
-                return run_spmd(lambda comm: run(comm, layout), nranks,
-                                backend=self.backend)[0]
-            finally:
-                if layout is not None:
-                    layout.remove()
-        return run()
+            spmd = run_spmd(run_rank, nranks, backend=self.backend)
+            fitted = spmd[0][0]
+            if sharded:
+                infos = [info for _, info in spmd.values]
+                fitted.meta["cache"] = {
+                    "per_rank": infos, "total": aggregate_cache_info(infos),
+                }
+            return fitted
+        assembler = stream_assembler(source, case, points)
+        return fit(StreamFeed(
+            source, assembler, batch=case.train.batch,
+            test_frac=case.train.test_frac, seed=self.seed,
+            shuffle=self.stream_shuffle,
+        ))
 
     def tune(
         self,

@@ -92,18 +92,7 @@ def _validate_subsample_args(parser: argparse.ArgumentParser, args) -> None:
     ``--prefetch`` against an in-memory source, stream-only policies in
     batch mode — which made typos look like successful runs.
     """
-    sharded = bool(args.source) and args.source != "sim"
     _check_source_flags(parser, args)
-    if args.owned_shards and not args.stream:
-        parser.error("--owned-shards requires --stream (the two-phase batch "
-                     "pipeline has no per-rank shard ownership)")
-    if args.owned_shards and not sharded:
-        parser.error("--owned-shards requires --source <shard-dir> (only "
-                     "save_dataset() shard directories can be split into "
-                     "owned sets)")
-    if args.owned_shards and args.ranks < 2:
-        parser.error("--owned-shards requires --ranks >= 2 (a single "
-                     "producer already owns every shard)")
     if args.on_rank_failure is not None:
         if not args.stream:
             parser.error("--on-rank-failure requires --stream (batch mode "
@@ -177,12 +166,6 @@ def subsample_main(argv: list[str] | None = None) -> int:
              "sources only; default 1, 0 turns read-ahead off)",
     )
     parser.add_argument(
-        "--owned-shards", action="store_true",
-        help="with --stream --ranks N over a shard directory: give each "
-             "rank its own disjoint shard set (private LRU + read-ahead) "
-             "instead of one shared cache",
-    )
-    parser.add_argument(
         "--on-rank-failure", choices=("reweight", "raise"), default=None,
         help="stream-mode policy when a producer rank dies mid-span: "
              "'reweight' merges the partial streams by delivered mass, "
@@ -219,7 +202,6 @@ def subsample_main(argv: list[str] | None = None) -> int:
     try:
         exp.subsample(
             mode="stream" if args.stream else "batch",
-            owned_shards=args.owned_shards,
             on_rank_failure=args.on_rank_failure or "raise",
             fault_hook=fault_hook,
         )

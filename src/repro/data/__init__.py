@@ -36,18 +36,16 @@ from repro.data.sources import (
     SnapshotSource,
     InMemorySource,
     ShardDirSource,
-    ShardedNpzSource,
     RemoteTieredSource,
     SimulationSource,
     PartitionedSource,
     CacheCounters,
     CacheInfo,
     aggregate_cache_info,
-    as_source,
     open_source,
 )
 from repro.data.loaders import load_dataset, save_dataset, stream_dataset
-from repro.data.store import OwnedShardLayout, SubsampleStore
+from repro.data.store import SubsampleStore
 
 __all__ = [
     "PointSet",
@@ -66,18 +64,15 @@ __all__ = [
     "SnapshotSource",
     "InMemorySource",
     "ShardDirSource",
-    "ShardedNpzSource",
     "RemoteTieredSource",
     "SimulationSource",
     "PartitionedSource",
     "CacheCounters",
     "CacheInfo",
     "aggregate_cache_info",
-    "as_source",
     "open_source",
     "load_dataset",
     "save_dataset",
     "stream_dataset",
-    "OwnedShardLayout",
     "SubsampleStore",
 ]

@@ -3,12 +3,12 @@
 A shard directory written by :func:`repro.data.loaders.save_dataset` holds
 one shard per snapshot plus a ``manifest.json``.  How a shard is laid out
 on disk is the codec's business; everything above it — the bounded LRU,
-the member read-ahead, :class:`~repro.data.store.OwnedShardLayout`
-ownership splits, the remote staging tier — is codec-agnostic.  The
-registry mirrors the Sampler/CubeSelector/StreamSampler registries: codecs
-register by name, ``save_dataset(codec=...)`` selects one at write time
-and stamps it into the manifest (``"codec"``), and readers auto-detect it
-from there (manifests without the key are ``npz``, the historical format).
+the member read-ahead, per-rank span sources, the remote staging tier — is
+codec-agnostic.  The registry mirrors the Sampler/CubeSelector/
+StreamSampler registries: codecs register by name,
+``save_dataset(codec=...)`` selects one at write time and stamps it into
+the manifest (``"codec"``), and readers auto-detect it from there
+(manifests without the key are ``npz``, the historical format).
 
 Three codecs ship:
 
@@ -68,7 +68,7 @@ _SHARD_META = "field.json"
 
 def _link_or_copy(src: str, dst: str) -> None:
     """Hardlink `src` to `dst`, copying when the filesystem refuses links
-    (cross-device layouts) — the ownership split's O(1)-disk primitive."""
+    (a staging directory on another device)."""
     try:
         os.link(src, dst)
     except OSError:
@@ -90,8 +90,7 @@ class ShardCodec(abc.ABC):
       ``nbytes()`` from metadata alone);
     * :meth:`shard_time` reads the snapshot time without decoding arrays;
     * :meth:`shard_name` names the shard's single file or directory, so
-      ownership layouts can renumber shards and staging tiers can fetch
-      and evict them as a unit.
+      staging tiers can fetch and evict it as a unit.
     """
 
     #: registry key, stamped into manifests as ``"codec"``
@@ -126,15 +125,11 @@ class ShardCodec(abc.ABC):
         """On-disk footprint of shard `index` (what a tier fetch moves)."""
         return sum(os.path.getsize(f) for f in self.shard_files(directory, index))
 
-    def link_shard(
-        self, src_dir: str, src_index: int, dst_dir: str, dst_index: int
-    ) -> None:
-        """Materialize shard `src_index` of `src_dir` as shard `dst_index`
-        of `dst_dir` via hardlinks (copies across filesystems) — the
-        renumbering step of :class:`~repro.data.store.OwnedShardLayout`
-        and the staging step of remote tiers."""
-        src = self.shard_path(src_dir, src_index)
-        dst = self.shard_path(dst_dir, dst_index)
+    def link_shard(self, src_dir: str, dst_dir: str, index: int) -> None:
+        """Materialize shard `index` of `src_dir` in `dst_dir` via hardlinks
+        (copies across filesystems) — the staging step of remote tiers."""
+        src = self.shard_path(src_dir, index)
+        dst = self.shard_path(dst_dir, index)
         if os.path.isfile(src):
             _link_or_copy(src, dst)
             return

@@ -22,16 +22,18 @@ implementations cover the ingestion spectrum:
   directory lives behind a simulated object store: shards are staged to a
   bounded local-disk tier through a latency/bandwidth cost model before
   decoding, so RAM → local disk → remote tiering is exercised with the
-  same LRU/read-ahead/ownership machinery.
+  same LRU/read-ahead machinery.
 * :class:`SimulationSource` — generates snapshots on demand from a
   replayable simulation factory (true in-situ: nothing is ever written to
   disk or held beyond a small rolling window; revisiting an earlier
   snapshot re-runs the deterministic simulation).
 
-:class:`PartitionedSource` is a contiguous snapshot-range *view* of any
-source — the unit of work one SPMD rank streams in the multi-producer
-subsample (``repro.parallel.partition.stream_partitions`` decides the
-spans; per-rank samples are then recombined by weighted reservoir merge).
+:meth:`SnapshotSource.span` hands one SPMD rank its contiguous snapshot
+range ``[lo, hi)`` — the unit of work in the multi-producer subsample and
+in DDP stream training (``repro.parallel.partition.stream_partitions``
+decides the spans).  Shard sources return a *private* source over their
+span (own LRU, counters and read-ahead thread, nothing written to disk);
+every other source returns a :class:`PartitionedSource` view of itself.
 
 Sources may also read ahead: :meth:`SnapshotSource.prefetch` is an
 advisory hint of the coming access order (no-op by default).
@@ -47,7 +49,6 @@ it resolves a source object (identity), a ``TurbulenceDataset``
 (→ ``InMemorySource``), a shard-directory path (→ ``ShardDirSource``,
 codec auto-detected), or a spec string like ``raw+dir:///data/shards`` /
 ``remote:///data/shards?latency_s=0.01`` to a :class:`SnapshotSource`.
-:func:`as_source` remains as the historical coercion name.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ import shutil
 import tempfile
 import threading
 import urllib.parse
-import warnings
 import weakref
 from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Iterator
@@ -77,14 +77,12 @@ __all__ = [
     "InMemorySource",
     "DEFAULT_PREFETCH",
     "ShardDirSource",
-    "ShardedNpzSource",
     "RemoteTieredSource",
     "SimulationSource",
     "PartitionedSource",
     "CacheCounters",
     "CacheInfo",
     "open_source",
-    "as_source",
     "aggregate_cache_info",
 ]
 
@@ -185,6 +183,23 @@ class SnapshotSource(abc.ABC):
         background thread decodes their members while the caller computes.
         Never required for correctness.
         """
+        return None
+
+    # ---- per-rank spans / lifecycle ---------------------------------------
+
+    def span(self, lo: int, hi: int) -> SnapshotSource:
+        """Snapshots ``[lo, hi)`` as a source indexed ``0 .. hi-lo``: how
+        each SPMD rank gets its slice of the sequence.
+
+        The default is a :class:`PartitionedSource` view sharing this
+        source's state; :class:`ShardDirSource` returns a private source
+        instead.  Either way the rank calls :meth:`close` on the result
+        when it is done.
+        """
+        return PartitionedSource(self, lo, hi)
+
+    def close(self) -> None:
+        """Release background resources (no-op unless overridden)."""
         return None
 
     def nbytes(self) -> int:
@@ -306,29 +321,8 @@ class CacheInfo(dict):
 
     Counters are events (summable across disjoint caches); gauges are
     levels and configuration, which :func:`aggregate_cache_info`
-    deliberately never sums.  The pre-schema flat keys (``info["hits"]``,
-    ``info["max_resident"]``, ...) keep working through a deprecation
-    shim: bracket access and :meth:`get` fall back to the matching
-    counter/gauge with a :class:`DeprecationWarning`.
+    deliberately never sums.
     """
-
-    def __missing__(self, key):
-        for section in ("counters", "gauges"):
-            values = dict.get(self, section)
-            if isinstance(values, dict) and key in values:
-                warnings.warn(
-                    f"flat cache_info()[{key!r}] is deprecated; read "
-                    f"cache_info()[{section!r}][{key!r}] (schema 2)",
-                    DeprecationWarning, stacklevel=2,
-                )
-                return values[key]
-        raise KeyError(key)
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
 
 #: look-ahead depth of shard sources built without an explicit ``prefetch``
@@ -361,7 +355,7 @@ class ShardDirSource(SnapshotSource):
     resolved from the manifest's ``"codec"`` stamp against the
     :mod:`~repro.data.codecs` registry (directories from before the
     registry read as ``npz``), so every policy here — bounded LRU,
-    read-ahead, ownership splits — is codec-agnostic.  Shards live in a
+    read-ahead, per-rank spans — is codec-agnostic.  Shards live in a
     thread-safe LRU holding at most ``max_cached`` snapshots, so
     subsampling an N-shard dataset never resides more than ``max_cached``
     shards in memory regardless of N.  :meth:`cache_info` exposes the
@@ -392,6 +386,13 @@ class ShardDirSource(SnapshotSource):
     thread exits whenever it runs out of work, :meth:`close` stops it, and
     no read-ahead thread is alive across an ``os.fork`` (it is stopped
     before the fork and resumed in the parent only).
+
+    **Spans.**  :meth:`span` opens a private source over shards
+    ``[lo, hi)`` of the same directory, with this source's knobs: its own
+    LRU of ``max_cached`` shards, its own counters and its own read-ahead
+    thread, so SPMD ranks share no cache state (and the residency bound is
+    ``max_cached`` per rank).  Nothing is written to disk; the span reads
+    the directory's shard files in place.
     """
 
     #: which storage tier serves decodes (overridden by remote wrappers)
@@ -419,6 +420,7 @@ class ShardDirSource(SnapshotSource):
         self.gravity = manifest.get("gravity", "none")
         target = manifest.get("target")
         self.target = np.asarray(target, dtype=np.float64) if target is not None else None
+        self._lo = 0  # directory shard number of index 0 (see span())
         self._n = int(manifest["n_snapshots"])
         self._cache: OrderedDict[int, FlowField] = OrderedDict()
         self._lock = threading.RLock()
@@ -439,30 +441,35 @@ class ShardDirSource(SnapshotSource):
         with _SOURCES_LOCK:
             _SOURCES.add(self)
 
-    @property
-    def layout_path(self) -> str:
-        """The directory :class:`~repro.data.store.OwnedShardLayout` should
-        split for per-rank ownership (tiered wrappers point this at their
-        backing store, not their staging area)."""
-        return self.path
-
-    def reopen(self, path: str | None = None) -> ShardDirSource:
-        """A fresh private source with this source's knobs over `path`
-        (default: the same directory) — how owned-shard layouts and the
-        process backend's forked workers get per-rank sources without
-        sharing LRU/read-ahead state."""
+    def _fresh(self) -> ShardDirSource:
+        """A new source over the whole directory with this one's knobs."""
         return ShardDirSource(
-            self.layout_path if path is None else path,
-            max_cached=self.max_cached, prefetch=self.prefetch_depth,
+            self.path, max_cached=self.max_cached, prefetch=self.prefetch_depth,
             lazy=self.lazy,
         )
 
-    def shard_path(self, i: int) -> str:
-        """On-disk path of shard `i` (file or directory, per the codec);
-        validates the index."""
+    def span(self, lo: int, hi: int) -> ShardDirSource:
+        """A private source over snapshots ``[lo, hi)`` (see the class
+        docstring); close it when done."""
+        _check_span(self, lo, hi)
+        source = self._fresh()
+        lo, hi = self._lo + lo, self._lo + hi
+        source._lo, source._n = lo, hi - lo
+        if source.target is not None:
+            source.target = source.target[lo:hi]
+        # Grids are homogeneous: pass on what this source already knows, so
+        # an empty span still answers grid_shape like a view would.
+        with self._lock:
+            known = self._grid_shape, self._shard_nbytes
+        with source._lock:
+            source._grid_shape, source._shard_nbytes = known
+        return source
+
+    def _shard_number(self, i: int) -> int:
+        """Validate index `i`; the directory's shard number for it."""
         if not 0 <= i < self._n:
             raise IndexError(f"snapshot {i} out of range [0, {self._n})")
-        return self.codec.shard_path(self.path, i)
+        return self._lo + i
 
     @property
     def n_snapshots(self) -> int:
@@ -488,10 +495,10 @@ class ShardDirSource(SnapshotSource):
     def _decode(self, i: int) -> FlowField:
         """Open shard `i` through the codec (outside the lock, so decodes
         overlap); lazy fields report their member decodes to this source."""
-        self.shard_path(i)  # validate the index
+        shard = self._shard_number(i)
         if not self.lazy:
-            return self.codec.decode(self.path, i)
-        field = self.codec.decode_lazy(self.path, i)
+            return self.codec.decode(self.path, shard)
+        field = self.codec.decode_lazy(self.path, shard)
         members = getattr(field, "variables", None)
         if isinstance(members, LazyMembers):
             members.on_decode(self._decode_order.record)
@@ -511,7 +518,7 @@ class ShardDirSource(SnapshotSource):
             self._shard_nbytes = field.nbytes()
 
     def snapshot(self, i: int) -> FlowField:
-        self.shard_path(i)  # validate the index before touching the cache
+        self._shard_number(i)  # validate the index before touching the cache
         with self._lock:
             field = self._cache.get(i)
             if field is not None:
@@ -702,7 +709,7 @@ class ShardDirSource(SnapshotSource):
         """Metadata-only time read for shard `i` (no array decode); tiered
         wrappers read from their backing store so an unstaged shard never
         forces a fetch."""
-        return self.codec.shard_time(self.path, i)
+        return self.codec.shard_time(self.path, self._lo + i)
 
     @property
     def times(self) -> np.ndarray:
@@ -778,11 +785,6 @@ if hasattr(os, "register_at_fork"):
     )
 
 
-class ShardedNpzSource(ShardDirSource):
-    """Back-compat name for :class:`ShardDirSource` (which now auto-detects
-    any registered codec, npz included)."""
-
-
 class RemoteTieredSource(ShardDirSource):
     """A shard directory behind a simulated object store, read through a
     local-disk staging tier: RAM (LRU) → local disk (staged) → remote.
@@ -799,9 +801,9 @@ class RemoteTieredSource(ShardDirSource):
 
     Everything above the staging step — bounded LRU, read-ahead (whose
     member decodes re-stage evicted files on the background thread),
-    ``cache_info()``, :class:`~repro.data.store.OwnedShardLayout` splits
-    (built over ``remote_path``; per-rank sources stage privately) — is
-    inherited from :class:`ShardDirSource` unchanged, for any codec.
+    ``cache_info()``, per-rank :meth:`span` sources (each with its own
+    private staging directory) — is inherited from :class:`ShardDirSource`
+    unchanged, for any codec.
 
     Staged files obey the same residency contract as LRU entries: a shard
     evicted from the staging tier may disappear from local disk, so
@@ -857,16 +859,13 @@ class RemoteTieredSource(ShardDirSource):
                 shutil.rmtree(staging, ignore_errors=True)
             raise
 
-    @property
-    def layout_path(self) -> str:
-        return self.remote_path
-
-    def reopen(self, path: str | None = None) -> RemoteTieredSource:
+    def _fresh(self) -> RemoteTieredSource:
+        """Same remote and knobs, with a new private staging directory."""
         return RemoteTieredSource(
-            self.remote_path if path is None else path,
-            max_staged=self.max_staged, latency_s=self.latency_s,
-            bandwidth=self.bandwidth, max_cached=self.max_cached,
-            prefetch=self.prefetch_depth, lazy=self.lazy,
+            self.remote_path, max_staged=self.max_staged,
+            latency_s=self.latency_s, bandwidth=self.bandwidth,
+            max_cached=self.max_cached, prefetch=self.prefetch_depth,
+            lazy=self.lazy,
         )
 
     # ---- staging tier ------------------------------------------------------
@@ -894,8 +893,9 @@ class RemoteTieredSource(ShardDirSource):
         try:
             # Fetch outside the lock: remote copies overlap with decodes
             # and with other shards' fetches.
-            self.codec.link_shard(self.remote_path, i, self.path, i)
-            nbytes = self.codec.shard_disk_bytes(self.path, i)
+            shard = self._lo + i
+            self.codec.link_shard(self.remote_path, self.path, shard)
+            nbytes = self.codec.shard_disk_bytes(self.path, shard)
             with self._lock:
                 self._staged[i] = nbytes
                 self._stats.remote_fetches += 1
@@ -922,7 +922,7 @@ class RemoteTieredSource(ShardDirSource):
                 return  # everything over-budget is pinned by residency
             del self._staged[victim]
             self._stats.staged_evictions += 1
-            self.codec.remove_shard(self.path, victim)
+            self.codec.remove_shard(self.path, self._lo + victim)
 
     def _decode(self, i: int) -> FlowField:
         """Stage shard `i` from the remote tier, then decode the staged
@@ -931,7 +931,7 @@ class RemoteTieredSource(ShardDirSource):
         lazy field's deferred member reads re-stage on demand — so a staged
         file vanishing under a bounded tier is never an error, only another
         accounted fetch."""
-        self.shard_path(i)  # validate the index before any fetch
+        self._shard_number(i)  # validate the index before any fetch
         with self._lock:
             self._decoding[i] = self._decoding.get(i, 0) + 1
         try:
@@ -952,7 +952,7 @@ class RemoteTieredSource(ShardDirSource):
     def _shard_time(self, i: int) -> float:
         """Metadata-only read served straight from the remote directory —
         times never force a shard fetch into the staging tier."""
-        return self.codec.shard_time(self.remote_path, i)
+        return self.codec.shard_time(self.remote_path, self._lo + i)
 
     def _tier_gauges(self) -> dict:
         """Staging-tier gauges for :meth:`cache_info` (lock held)."""
@@ -1090,24 +1090,27 @@ class SimulationSource(SnapshotSource):
             return self._snapshot_nbytes * self._n
 
 
+def _check_span(source: SnapshotSource, lo: int, hi: int) -> None:
+    if not (0 <= lo <= hi <= source.n_snapshots):
+        raise ValueError(
+            f"span [{lo}, {hi}) invalid for a {source.n_snapshots}-snapshot source"
+        )
+
+
 class PartitionedSource(SnapshotSource):
     """A contiguous snapshot-range view ``[lo, hi)`` of another source.
 
-    The unit of work one SPMD rank streams in the multi-producer subsample:
-    rank `r` sees its span as snapshots ``0 .. hi-lo`` of an ordinary
-    source, while coordinates, times, and values pass through unchanged from
-    the base.  Views share the base source (and therefore its cache and
-    read-ahead), so K ranks over one :class:`ShardDirSource` still respect
-    a single global residency bound.
+    What :meth:`SnapshotSource.span` returns for in-memory and simulation
+    sources: rank `r` sees its span as snapshots ``0 .. hi-lo`` of an
+    ordinary source, while coordinates, times, and values pass through
+    unchanged from the base.  Views share the base source and its state
+    (closing a view leaves the base open).
     """
 
     def __init__(self, base: SnapshotSource, lo: int, hi: int) -> None:
         if not isinstance(base, SnapshotSource):
             raise TypeError(f"expected SnapshotSource, got {type(base).__name__}")
-        if not (0 <= lo <= hi <= base.n_snapshots):
-            raise ValueError(
-                f"span [{lo}, {hi}) invalid for a {base.n_snapshots}-snapshot source"
-            )
+        _check_span(base, lo, hi)
         self.base = base
         self.lo = int(lo)
         self.hi = int(hi)
@@ -1164,7 +1167,8 @@ class PartitionedSource(SnapshotSource):
 def aggregate_cache_info(infos: Iterable[dict | None]) -> dict:
     """Sum per-rank :meth:`ShardDirSource.cache_info` event counters.
 
-    The owned-shard benchmarks account total I/O across ranks with this.
+    Multi-rank stream runs account total I/O across their span sources
+    with this (``meta["cache"]["total"]``).
     Every :class:`CacheCounters` field is a true event counter — additive
     across disjoint caches — so all of them are summed, whatever the
     source's codec or tier; gauges and configuration (``resident``,
@@ -1181,11 +1185,9 @@ def aggregate_cache_info(infos: Iterable[dict | None]) -> dict:
         if info is None:
             continue
         total["ranks"] += 1
-        # dict.__contains__ / dict.get keep legacy flat dicts working
-        # without tripping the CacheInfo deprecation shim.
-        counters = info["counters"] if "counters" in info else info
+        counters = info.get("counters", info)
         for key in names:
-            total[key] += dict.get(counters, key, 0)
+            total[key] += counters.get(key, 0)
     total["decodes"] = total["misses"] + total["prefetched"]
     return total
 
@@ -1288,12 +1290,3 @@ def open_source(
             f"(spec {os.fspath(spec)!r}); drop the codec prefix to auto-detect"
         )
     return source
-
-
-def as_source(data) -> SnapshotSource:
-    """Coerce the accepted ingestion kinds to a :class:`SnapshotSource`.
-
-    Thin wrapper over :func:`open_source` kept for back-compat; new code
-    should call ``open_source``, which also understands spec strings.
-    """
-    return open_source(data)

@@ -57,9 +57,9 @@ __all__ = [
 #: (module, class, lock attribute, guarded attributes) wired up by install().
 #: ``LazyMembers`` is deliberately absent: its lock-free fast-path read is a
 #: documented benign race (atomic dict get of an immutable value).  Guarding
-#: ``ShardDirSource`` covers its subclasses (``ShardedNpzSource``,
-#: ``RemoteTieredSource``) through inheritance; the remote staging-tier
-#: state gets its own entry on the subclass.
+#: ``ShardDirSource`` covers its subclass ``RemoteTieredSource`` through
+#: inheritance; the remote staging-tier state gets its own entry on the
+#: subclass.
 GUARDED_CLASSES = (
     ("repro.data.sources", "ShardDirSource", "_lock",
      ("_cache", "_stats", "_inflight", "_from_prefetch", "_hint", "_hint_pos",

@@ -117,7 +117,7 @@ class ProducerReport:
     stream_mass: float = 0.0
     failed: bool = False
     error: str | None = None
-    #: per-rank schema-2 ``cache_info()`` dict (owned-shard runs): codec,
+    #: per-rank schema-2 ``cache_info()`` dict (shard-directory runs): codec,
     #: tier, and ``{"counters", "gauges"}`` sections — the shape
     #: :func:`repro.data.sources.aggregate_cache_info` sums across ranks
     cache_info: dict | None = field(default=None, repr=False)

@@ -3,8 +3,8 @@
 :class:`ThreadComm` gives correct collective semantics but runs every rank
 under one GIL, so its speedups exist only in virtual time.  This module backs
 the same :class:`~repro.parallel.comm.Communicator` contract with
-``multiprocessing`` workers so the identical stream/owned-shard/DDP code paths
-run with true parallelism.
+``multiprocessing`` workers so the identical stream/DDP code paths run with
+true parallelism.
 
 Topology is hub-and-spoke: the parent process is the switchboard.  Each rank
 is a forked worker holding one duplex pipe to the parent; the parent runs an

@@ -48,7 +48,7 @@ classes, so registered third-party strategies need no cost-table entry.
 from __future__ import annotations
 
 from repro.data.dataset import TurbulenceDataset
-from repro.data.sources import InMemorySource, SimulationSource, SnapshotSource, as_source
+from repro.data.sources import InMemorySource, SimulationSource, SnapshotSource, open_source
 from repro.energy.meter import EnergyMeter
 from repro.parallel.comm import Communicator
 from repro.parallel.perfmodel import PerfModel
@@ -81,7 +81,6 @@ def subsample(
     seed: int = 0,
     model: PerfModel | None = None,
     mode: str = "batch",
-    owned_shards: bool = False,
     on_rank_failure: str = "raise",
     fault_hook=None,
     backend: str = "thread",
@@ -97,12 +96,10 @@ def subsample(
     per-rank states merge by weighted draw — see
     :func:`repro.sampling.streaming.run_stream_subsample`).
 
-    The stream-only knobs: ``owned_shards`` gives each rank a private
-    :class:`~repro.data.sources.ShardDirSource` over a disjoint shard set
-    (per-rank LRU + read-ahead, no shared cache), ``on_rank_failure``
-    chooses between reweighting the merge by delivered mass
-    (``"reweight"``) and failing the draw (``"raise"``) when a producer
-    dies mid-span, and ``fault_hook`` injects such deaths for testing.
+    The stream-only knobs: ``on_rank_failure`` chooses between reweighting
+    the merge by delivered mass (``"reweight"``) and failing the draw
+    (``"raise"``) when a producer dies mid-span, and ``fault_hook`` injects
+    such deaths for testing.
 
     ``backend`` applies to both modes and picks the SPMD substrate:
     ``"thread"`` (deterministic virtual-time modeling, the default) or
@@ -110,20 +107,20 @@ def subsample(
     wall-clock parallelism, byte-identical results for the same
     (seed, nranks)).  See :func:`repro.parallel.spmd.run_spmd`.
     """
-    source = as_source(data)
+    source = open_source(data)
     if mode == "stream":
         from repro.sampling.streaming import run_stream_subsample
 
         return run_stream_subsample(
             source, config, seed=seed, nranks=nranks, model=model,
-            owned_shards=owned_shards, on_rank_failure=on_rank_failure,
-            fault_hook=fault_hook, backend=backend,
+            on_rank_failure=on_rank_failure, fault_hook=fault_hook,
+            backend=backend,
         )
     if mode != "batch":
         raise ValueError(f"mode must be 'batch' or 'stream', got {mode!r}")
-    if owned_shards or fault_hook is not None or on_rank_failure != "raise":
+    if fault_hook is not None or on_rank_failure != "raise":
         raise ValueError(
-            "owned_shards / on_rank_failure / fault_hook apply to "
+            "on_rank_failure / fault_hook apply to "
             "mode='stream' only — the batch pipeline has no partial-stream "
             "merge to configure"
         )

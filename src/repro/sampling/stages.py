@@ -31,7 +31,7 @@ fetched on demand and never required to be resident together, so the same
 stage list runs over an in-memory dataset (byte-identical to the
 pre-source-API results), an out-of-core shard directory, or an in-situ
 simulation.  ``run``/``run_subsample`` accept a ``TurbulenceDataset`` too
-and coerce it via :func:`~repro.data.sources.as_source`.
+and coerce it via :func:`~repro.data.sources.open_source`.
 
 Method work-unit costs live on the sampler/selector classes themselves
 (``cost_per_point``), so third-party strategies registered via
@@ -50,7 +50,7 @@ import numpy as np
 from repro.data.dataset import TurbulenceDataset
 from repro.data.hypercubes import Hypercube, extract_hypercube, hypercube_origins
 from repro.data.points import PointSet
-from repro.data.sources import SnapshotSource, as_source
+from repro.data.sources import SnapshotSource, open_source
 from repro.energy.meter import EnergyMeter
 from repro.parallel.comm import Communicator
 from repro.parallel.partition import block_bounds
@@ -446,7 +446,7 @@ class SubsamplePipeline:
         resident :class:`TurbulenceDataset` (coerced to an in-memory source).
         """
         ctx = PipelineContext(
-            comm=comm, source=as_source(data), config=config, seed=seed, hist_bins=hist_bins
+            comm=comm, source=open_source(data), config=config, seed=seed, hist_bins=hist_bins
         )
         with EnergyMeter() as meter:
             ctx.meter = meter

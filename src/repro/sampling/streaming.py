@@ -33,9 +33,10 @@ seed and rank count.
 :class:`~repro.data.sources.SnapshotSource` — it is what
 ``subsample(source, config, mode="stream")`` and
 ``Experiment...subsample(mode="stream")`` execute.  With ``nranks > 1`` it
-launches one SPMD producer per rank over a
-:class:`~repro.data.sources.PartitionedSource` snapshot span, gathers the
-per-rank sampler states, and merges on rank 0.
+launches one SPMD producer per rank over its snapshot span
+(:meth:`~repro.data.sources.SnapshotSource.span`: a private source for
+shard directories, a shared view otherwise), gathers the per-rank sampler
+states, and merges on rank 0.
 """
 
 from __future__ import annotations
@@ -47,14 +48,12 @@ import numpy as np
 from repro.cluster.kmeans import MiniBatchKMeans
 from repro.data.points import PointSet
 from repro.data.sources import (
-    PartitionedSource,
     ShardDirSource,
     SimulationSource,
     SnapshotSource,
     aggregate_cache_info,
-    as_source,
+    open_source,
 )
-from repro.data.store import OwnedShardLayout
 from repro.energy.meter import EnergyMeter
 from repro.parallel.partition import ProducerReport, stream_partitions
 from repro.parallel.perfmodel import PerfModel
@@ -587,7 +586,6 @@ def run_stream_subsample(
     hist_bins: int = 50,
     nranks: int = 1,
     model: PerfModel | None = None,
-    owned_shards: bool = False,
     on_rank_failure: str = "raise",
     fault_hook=None,
     backend: str = "thread",
@@ -614,16 +612,14 @@ def run_stream_subsample(
     virtual-time modeling under the GIL, the default) or ``"process"``
     (forked workers over :class:`~repro.parallel.procomm.ProcessComm` with
     shared-memory transport; real wall-clock parallelism).  Both yield
-    byte-identical samples and virtual clocks for the same (seed, nranks);
-    on the process backend each rank reopens sharded sources privately so
-    no LRU/read-ahead state crosses the fork.
+    byte-identical samples and virtual clocks for the same (seed, nranks).
 
-    ``owned_shards=True`` (sharded sources only) replaces the shared-cache
-    :class:`~repro.data.sources.PartitionedSource` view with true per-rank
-    I/O isolation: an :class:`~repro.data.store.OwnedShardLayout` gives
-    every rank its own shard directory, private bounded LRU, and private
-    read-ahead thread over a disjoint file set; per-rank ``cache_info()``
-    counters land in ``meta["cache"]`` with their cross-rank aggregate.
+    Each rank streams ``source.span(lo, hi)`` and closes it when done.  Over
+    a shard directory that is a private source (own bounded LRU, counters
+    and read-ahead thread, opened inside the rank, so no cache state is
+    shared between ranks or crosses a fork); per-rank ``cache_info()``
+    counters then land in ``meta["cache"]`` with their cross-rank
+    aggregate.  Other sources hand ranks shared views.
 
     Producers can die mid-span — for real (an exception while streaming) or
     injected (``fault_hook(rank, snapshots_done=..., rows_fed=...)`` armed
@@ -645,7 +641,7 @@ def run_stream_subsample(
     """
     from repro.sampling.stages import SubsampleResult
 
-    source = as_source(source)
+    source = open_source(source)
     sub = config.subsample
     if nranks < 1:
         raise ValueError("nranks must be >= 1")
@@ -659,16 +655,6 @@ def run_stream_subsample(
         raise ValueError(
             "fault injection needs nranks >= 2 — a single producer has no "
             "peers to survive it"
-        )
-    if owned_shards and not isinstance(source, ShardDirSource):
-        raise ValueError(
-            "owned_shards requires a ShardDirSource (a save_dataset shard "
-            f"directory); got {type(source).__name__}"
-        )
-    if owned_shards and nranks < 2:
-        raise ValueError(
-            "owned_shards needs nranks >= 2 — a single producer already "
-            "owns every shard, so the flag would be silently meaningless"
         )
     if sub.method == "full":
         raise ValueError(
@@ -727,37 +713,13 @@ def run_stream_subsample(
         energy = meter
     else:
         parts = stream_partitions(source.n_snapshots, nranks)
-        # The layout is a run-scoped scratch artifact (unique temp dir, so
-        # concurrent runs and read-only base directories are safe); it is
-        # removed again in the finally below, whatever the run does.
-        layout = (
-            OwnedShardLayout.build(source.layout_path, nranks)
-            if owned_shards else None
-        )
-
-        def _rank_source(rank: int) -> tuple[SnapshotSource, ShardDirSource | None]:
-            """Build this rank's source view; also returns the private sharded
-            base the rank must close when it owns one."""
-            if layout is not None:
-                # reopen() keeps the source's own codec/tier configuration
-                # over the rank's owned shard directory.
-                src = source.reopen(layout.rank_dir(rank))
-                return src, src
-            if backend == "process" and isinstance(source, ShardDirSource):
-                # Forked workers must not share the parent's LRU/read-ahead
-                # machinery (inherited locks and dead threads): reopen the
-                # shard directory privately inside the worker.
-                base = source.reopen()
-                return PartitionedSource(base, parts[rank].lo, parts[rank].hi), base
-            return PartitionedSource(source, parts[rank].lo, parts[rank].hi), None
-
+        sharded = isinstance(source, ShardDirSource)
         rngs = spawn_rngs(seed, nranks + 1)  # rngs[0] drives the merge draw
 
         rows_per_snapshot = source.n_points_per_snapshot
 
         def _producer(comm):
             part = parts[comm.rank]
-            src_r, private_base = _rank_source(comm.rank)
             sampler = get_stream_sampler(
                 sub.method, n_samples=budget, value_range=vr,
                 rng=rngs[comm.rank + 1], **kwargs,
@@ -777,6 +739,9 @@ def run_stream_subsample(
                 )
 
             with EnergyMeter() as meter:
+                # Opened inside the rank, so on the process backend no
+                # cache state or read-ahead thread crosses the fork.
+                src_r = source.span(part.lo, part.hi)
                 try:
                     _feed_stream(
                         sampler, src_r, point_vars, vcol, chunk_rows, meter,
@@ -795,9 +760,8 @@ def run_stream_subsample(
                         raise
                     failed, err = True, f"{type(exc).__name__}: {exc}"
                 finally:
-                    info = private_base.cache_info() if private_base is not None else None
-                    if private_base is not None:
-                        private_base.close()
+                    info = src_r.cache_info() if sharded else None
+                    src_r.close()
                 report = ProducerReport(
                     partition=part, snapshots_done=_delivered_snapshots(),
                     n_seen=int(sampler.n_seen), stream_mass=float(sampler.n_seen),
@@ -824,13 +788,9 @@ def run_stream_subsample(
                 meter.add_elapsed(comm.clock.t)
             return merged, meter, all_reports
 
-        try:
-            spmd = run_spmd(
-                _producer, nranks, model=model, fault_hook=fault_hook, backend=backend
-            )
-        finally:
-            if layout is not None:
-                layout.remove()
+        spmd = run_spmd(
+            _producer, nranks, model=model, fault_hook=fault_hook, backend=backend
+        )
         sampler, _, reports = spmd[0]
         energy = EnergyMeter()
         for _, rank_meter, _ in spmd.values:
@@ -840,7 +800,7 @@ def run_stream_subsample(
         failed_reports = [r for r in reports if r.failed]
         if failed_reports and on_rank_failure == "raise":
             raise failed_producers_error(failed_reports)
-        if owned_shards:
+        if sharded:
             infos = [r.cache_info for r in reports]
             cache_meta = {
                 "per_rank": infos,
@@ -881,7 +841,6 @@ def run_stream_subsample(
         "ranks": nranks,
         "backend": backend,
         "seed": seed,
-        "owned_shards": bool(owned_shards),
         "on_rank_failure": on_rank_failure,
         "case": config.to_dict(),
     }

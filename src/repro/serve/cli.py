@@ -171,7 +171,6 @@ def submit_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--prefetch", type=int, default=None,
                         help="shards to read ahead (shard-directory sources "
                              "only; default: the source default)")
-    parser.add_argument("--owned-shards", action="store_true")
     parser.add_argument("--on-rank-failure", choices=("reweight", "raise"),
                         default=None)
     parser.add_argument("--inject-rank-failure", type=int, default=None,
@@ -246,8 +245,6 @@ def _build_spec(args) -> dict:
         spec["max_cached_shards"] = args.max_cached_shards
     if args.prefetch is not None:
         spec["prefetch"] = args.prefetch
-    if args.owned_shards:
-        spec["owned_shards"] = True
     if args.on_rank_failure:
         spec["on_rank_failure"] = args.on_rank_failure
     if args.inject_rank_failure is not None:

@@ -26,7 +26,7 @@ __all__ = ["JobSpec", "JobSpecError", "KEY_SCHEMA"]
 
 #: bump when the key document layout changes, so stores never serve
 #: entries computed under a different identity scheme.
-KEY_SCHEMA = 1
+KEY_SCHEMA = 2
 
 
 class JobSpecError(ValueError):
@@ -48,7 +48,6 @@ class JobSpec:
     epochs: int | None = None
     max_cached_shards: int | None = None
     prefetch: int | None = None  # None: the source default
-    owned_shards: bool = False
     on_rank_failure: str | None = None
     stream_shuffle: int = 0
     inject_rank_failure: int | None = None
@@ -133,21 +132,6 @@ class JobSpec:
                 "prefetch applies only to shard-directory sources; the "
                 "catalog/sim source has no shards to decode ahead"
             )
-        if self.owned_shards:
-            if self.mode != "stream":
-                raise JobSpecError(
-                    "owned_shards requires mode='stream' (the batch pipeline "
-                    "has no per-rank shard ownership)"
-                )
-            if not sharded:
-                raise JobSpecError(
-                    "owned_shards requires a shard-directory source"
-                )
-            if self.ranks < 2:
-                raise JobSpecError(
-                    "owned_shards requires ranks >= 2 (a single producer "
-                    "already owns every shard)"
-                )
         if self.on_rank_failure is not None:
             if self.on_rank_failure not in ("reweight", "raise"):
                 raise JobSpecError(
@@ -224,7 +208,6 @@ class JobSpec:
                 seed=self.seed, max_cached=self.max_cached_shards,
                 prefetch=self.prefetch,
             ),
-            "owned_shards": bool(self.owned_shards),
             "on_rank_failure": self.on_rank_failure or "raise",
             "stream_shuffle": int(self.stream_shuffle),
             "inject_rank_failure": self.inject_rank_failure,

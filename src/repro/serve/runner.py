@@ -144,7 +144,6 @@ def _run_subsample(spec: JobSpec, exp: Experiment,
     write_progress(progress_path, {"phase": "subsample"})
     exp.with_ranks(spec.ranks).subsample(
         mode=spec.mode,
-        owned_shards=spec.owned_shards,
         on_rank_failure=spec.on_rank_failure or "raise",
         fault_hook=_fault_hook_for(spec),
     )

@@ -473,7 +473,7 @@ class Scheduler:
             self._counters["completed"] += 1
             cache = outcome.meta.get("cache")
             if cache is not None:
-                self._cache_infos.append(cache)
+                self._cache_infos.extend(cache["per_rank"])
             energy = outcome.meta.get("total_energy")
             if energy is not None:
                 self._energy_total += float(energy)

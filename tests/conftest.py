@@ -8,6 +8,7 @@ whose parent already initiated the join.
 """
 
 import multiprocessing as mp
+import threading
 import time
 
 import pytest
@@ -25,3 +26,33 @@ def no_orphaned_workers():
         f"test session leaked {len(children)} multiprocessing worker(s): "
         f"{[c.name for c in children]}"
     )
+
+
+@pytest.fixture
+def busy_readahead(monkeypatch):
+    """Keep every shard read-ahead thread busy until its source is closed.
+
+    The real thread exits as soon as it runs out of members to decode, so a
+    source nobody closes usually leaves no trace.  Under this fixture a
+    read-ahead thread stays alive until ``close()`` stops it, which makes
+    "no live ``shard-readahead`` thread after the run" a real check that
+    every source was closed.  Yields a function listing those threads;
+    teardown releases any thread still held.
+    """
+    from repro.data.sources import ShardDirSource
+
+    release = threading.Event()
+
+    def hold(self, j, field, members):
+        while not release.wait(0.001):
+            with self._lock:
+                if self._stopping:
+                    return
+
+    def live_threads() -> list:
+        return [t for t in threading.enumerate()
+                if t.name == "shard-readahead" and t.is_alive()]
+
+    monkeypatch.setattr(ShardDirSource, "_decode_members", hold)
+    yield live_threads
+    release.set()

@@ -1,13 +1,16 @@
 """Shard-codec registry tests: every codec round-trips byte-identically,
-stream subsampling is codec-invariant per (seed, nranks) — owned shards
-included — and lazy decode keeps real Mapping semantics."""
+stream subsampling is codec-invariant per (seed, nranks) — per-rank span
+sources and both backends included — and lazy decode keeps real Mapping
+semantics."""
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from repro.api import Experiment
 from repro.data import (
     ShardDirSource,
     build_dataset,
@@ -143,7 +146,7 @@ class TestRoundTrip:
 
 class TestStreamGolden:
     """Acceptance: stream-subsample output is byte-identical to the npz
-    golden for every codec, per (seed, nranks), owned shards included."""
+    golden for every codec, per (seed, nranks)."""
 
     @pytest.mark.parametrize("seed,nranks", [(0, 1), (0, 2), (3, 2)])
     def test_codecs_match_npz_golden(self, codec_dirs, seed, nranks):
@@ -163,22 +166,6 @@ class TestStreamGolden:
             for var, vals in golden.points.values.items():
                 assert np.array_equal(vals, got.points.values[var]), (codec, var)
 
-    @pytest.mark.parametrize("codec", ("raw", "chunked"))
-    def test_owned_shards_match_npz_golden(self, codec_dirs, codec):
-        def run(path):
-            src = open_source(path, max_cached=2)
-            try:
-                return subsample(src, stream_case(), nranks=2, seed=0,
-                                 mode="stream", owned_shards=True)
-            finally:
-                src.close()
-
-        golden = run(codec_dirs["npz"])
-        got = run(codec_dirs[codec])
-        assert np.array_equal(golden.points.coords, got.points.coords)
-        for var, vals in golden.points.values.items():
-            assert np.array_equal(vals, got.points.values[var]), var
-
     def test_remote_tier_matches_npz_golden(self, codec_dirs):
         golden_src = open_source(codec_dirs["npz"], max_cached=2)
         remote_src = open_source(
@@ -196,6 +183,68 @@ class TestStreamGolden:
         for var, vals in golden.points.values.items():
             assert np.array_equal(vals, got.points.values[var]), var
         assert remote_src.cache_info()["counters"]["remote_fetches"] > 0
+
+
+#: sha256 of the stream-subsample points, and the per-epoch (train, test)
+#: losses of the stream-trained fit on top, per rank count, for
+#: :meth:`TestSpanGolden.run`.  Recorded before per-rank span sources
+#: existed, from both earlier rank views — hardlinked per-rank shard
+#: directories and one shared cache — which agreed for every codec and
+#: backend.
+SPAN_GOLDEN = {
+    2: ("be411c73306a5c939f60f2110527edd884d06172fa2f78ca46ce37ceb71a29b3",
+        [0.015996927286198212, 0.014826156014140205],
+        [0.01469442406656403, 0.01419587472842064]),
+    4: ("5f07db612efbd2ecd5c9d9200de28d5b9a58585e4d3997e8147cac63764a1dfb",
+        [0.01706309796377847, 0.01574234180202701],
+        [0.015476738684059755, 0.014990936777915576]),
+}
+
+
+class TestSpanGolden:
+    """Multi-rank stream subsample + stream train over a shard directory,
+    where every rank reads a private span source: byte-identical samples
+    and identical losses for every codec, backend and rank count."""
+
+    @pytest.fixture(scope="class")
+    def span_dirs(self, tmp_path_factory):
+        ds = build_dataset("SST-P1F4", scale=0.5, rng=0, n_snapshots=12)
+        dirs = {}
+        for codec in ALL_CODECS:
+            path = tmp_path_factory.mktemp(f"span_{codec}")
+            save_dataset(ds, str(path), codec=codec)
+            dirs[codec] = str(path)
+        return dirs
+
+    @staticmethod
+    def run(path, backend, nranks):
+        case = stream_case()
+        case.train = TrainConfig(epochs=2, batch=4, window=2, horizon=1,
+                                 arch="mlp_transformer")
+        src = open_source(path, max_cached=2)
+        try:
+            return (Experiment.from_case(case).with_source(src).with_seed(0)
+                    .with_backend(backend).with_train_ranks(nranks)
+                    .subsample(mode="stream", ranks=nranks)
+                    .train(mode="stream"))
+        finally:
+            src.close()
+
+    @pytest.mark.parametrize("nranks", (2, 4))
+    @pytest.mark.parametrize("backend", ("thread", "process"))
+    @pytest.mark.parametrize("codec", ALL_CODECS)
+    def test_span_sources_match_parent_golden(self, span_dirs, codec, backend,
+                                              nranks):
+        exp = self.run(span_dirs[codec], backend, nranks)
+        points = exp.subsample_artifact.result.points
+        h = hashlib.sha256()
+        for arr in (points.coords, points.time,
+                    *(points.values[v] for v in sorted(points.values))):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        fit = exp.train_artifact.result
+        assert (h.hexdigest(), fit.train_losses, fit.test_losses) == SPAN_GOLDEN[nranks]
+        assert exp.subsample_artifact.result.meta["cache"]["total"]["ranks"] == nranks
+        assert fit.meta["cache"]["total"]["ranks"] == nranks
 
 
 class TestLazyMappingSemantics:

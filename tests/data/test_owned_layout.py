@@ -1,21 +1,21 @@
-"""Tests for distributed shard ownership (OwnedShardLayout) and the
-cross-rank cache_info aggregation."""
+"""Tests for per-rank span sources — each rank owning a private source over
+its snapshot range — and the cross-rank cache_info aggregation."""
 
-import json
 import os
-import threading
 
 import numpy as np
 import pytest
 
 from repro.data import (
-    OwnedShardLayout,
-    ShardedNpzSource,
+    InMemorySource,
+    PartitionedSource,
+    RemoteTieredSource,
+    ShardDirSource,
     aggregate_cache_info,
     build_dataset,
     save_dataset,
 )
-from repro.data.store import MANIFEST
+from repro.parallel.partition import stream_partitions
 
 
 @pytest.fixture(scope="module")
@@ -25,147 +25,124 @@ def sst():
 
 @pytest.fixture(scope="module")
 def shard_dir(sst, tmp_path_factory):
-    path = tmp_path_factory.mktemp("owned-shards")
+    path = tmp_path_factory.mktemp("span-shards")
     save_dataset(sst, str(path))
     return str(path)
 
 
-class TestOwnedShardLayout:
-    def test_rank_dirs_are_valid_shard_directories(self, shard_dir, sst):
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            assert layout.nranks == 2
-            assert layout.spans == [(0, 3), (3, 5)]
-            for r in range(2):
-                src = ShardedNpzSource(layout.rank_dir(r))
-                lo, hi = layout.rank_span(r)
-                assert src.n_snapshots == hi - lo
-                assert src.label == sst.label
-                for j in range(src.n_snapshots):
-                    a, b = src.snapshot(j), sst.snapshots[lo + j]
-                    assert a.time == b.time
-                    for name, arr in b.variables.items():
-                        assert np.array_equal(a.get(name), arr), name
-        finally:
-            layout.remove()
+def assert_same_snapshot(got, want):
+    assert got.time == want.time
+    for name, arr in want.variables.items():
+        assert np.array_equal(got.get(name), arr), name
+
+
+class TestSpanSource:
+    def test_span_serves_its_shards(self, shard_dir, sst):
+        with ShardDirSource(shard_dir) as base:
+            for lo, hi in [(0, 3), (3, 5)]:
+                with base.span(lo, hi) as src:
+                    assert type(src) is ShardDirSource
+                    assert src.n_snapshots == hi - lo
+                    assert src.label == sst.label
+                    for j in range(src.n_snapshots):
+                        assert_same_snapshot(src.snapshot(j), sst.snapshots[lo + j])
+                    with pytest.raises(IndexError):
+                        src.snapshot(hi - lo)
 
     def test_ownership_is_disjoint_and_covering(self, shard_dir, sst):
-        layout = OwnedShardLayout.build(shard_dir, 3)
-        try:
-            times = []
-            for r in range(3):
-                src = ShardedNpzSource(layout.rank_dir(r))
-                times.extend(src.times)
-            # Every snapshot appears exactly once, in global order.
-            assert times == list(sst.times)
-        finally:
-            layout.remove()
+        times = []
+        with ShardDirSource(shard_dir) as base:
+            for part in stream_partitions(base.n_snapshots, 3):
+                with base.span(part.lo, part.hi) as src:
+                    times.extend(src.times)
+        # Every snapshot appears exactly once, in global order.
+        assert times == list(sst.times)
 
-    def test_more_ranks_than_shards_gives_empty_tail_dirs(self, shard_dir, sst):
-        layout = OwnedShardLayout.build(shard_dir, sst.n_snapshots + 2)
-        try:
-            tail = ShardedNpzSource(layout.rank_dir(layout.nranks - 1))
-            assert tail.n_snapshots == 0
-            assert tail.nbytes() == 0
-            assert list(tail.iter_tables(["u"])) == []
-            assert list(tail.iter_snapshots()) == []
-        finally:
-            layout.remove()
+    def test_empty_tail_span(self, shard_dir, sst):
+        with ShardDirSource(shard_dir) as base:
+            base.snapshot(0)
+            with base.span(sst.n_snapshots, sst.n_snapshots) as tail:
+                assert tail.n_snapshots == 0
+                assert tail.nbytes() == 0
+                assert tail.grid_shape == sst.grid_shape
+                assert list(tail.iter_tables(["u"])) == []
+                assert list(tail.iter_snapshots()) == []
 
     def test_target_sliced_per_rank(self, tmp_path):
         ds = build_dataset("OF2D", scale=0.3, rng=0, n_snapshots=4)
         assert ds.target is not None
         path = str(tmp_path / "of2d")
         save_dataset(ds, path)
-        layout = OwnedShardLayout.build(path, 2)
-        try:
-            for r in range(2):
-                src = ShardedNpzSource(layout.rank_dir(r))
-                lo, hi = layout.rank_span(r)
-                assert np.allclose(src.target, ds.target[lo:hi])
-        finally:
-            layout.remove()
-
-    def test_default_builds_are_isolated_and_outside_base(self, shard_dir):
-        """Concurrent owned runs must not clobber each other, and the base
-        directory (possibly a read-only dataset mount) stays untouched."""
-        a = OwnedShardLayout.build(shard_dir, 2)
-        b = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            assert a.root != b.root
-            assert not a.root.startswith(shard_dir)
-            assert not any(name.startswith(".owned") for name in os.listdir(shard_dir))
-        finally:
-            a.remove()
-            b.remove()
-
-    def test_explicit_dest_rebuild_replaces_stale_layout(self, shard_dir, tmp_path):
-        dest = str(tmp_path / "layout")
-        layout = OwnedShardLayout.build(shard_dir, 2, dest=dest)
-        marker = os.path.join(layout.rank_dir(0), "stale.txt")
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write("old")
-        rebuilt = OwnedShardLayout.build(shard_dir, 2, dest=dest)
-        try:
-            assert rebuilt.root == dest
-            assert not os.path.exists(marker)
-        finally:
-            rebuilt.remove()
-
-    def test_hardlinks_not_copies_where_supported(self, shard_dir):
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            base = os.path.join(shard_dir, "snapshot_00000.npz")
-            owned = os.path.join(layout.rank_dir(0), "snapshot_00000.npz")
-            if os.stat(base).st_nlink > 1:  # fs supports hardlinks
-                assert os.path.samefile(base, owned)
-        finally:
-            layout.remove()
+        with ShardDirSource(path) as base:
+            for lo, hi in [(0, 2), (2, 4)]:
+                with base.span(lo, hi) as src:
+                    assert np.allclose(src.target, ds.target[lo:hi])
+                    assert np.array_equal(src.times, ds.times[lo:hi])
 
     def test_rank_source_is_private(self, shard_dir):
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            a = layout.rank_source(0, max_cached=1)
-            b = layout.rank_source(1, max_cached=1)
-            a.snapshot(0)
-            assert a.cache_info()["counters"]["misses"] == 1
-            assert b.cache_info()["counters"]["misses"] == 0  # no shared cache
-            a.close()
-            b.close()
-        finally:
-            layout.remove()
+        with ShardDirSource(shard_dir, max_cached=1) as base:
+            a, b = base.span(0, 3), base.span(3, 5)
+            try:
+                a.snapshot(0)
+                assert a.cache_info()["counters"]["misses"] == 1
+                assert b.cache_info()["counters"]["misses"] == 0  # no shared cache
+                assert base.cache_info()["counters"]["misses"] == 0
+                assert a.max_cached == 1 and a.prefetch_depth == base.prefetch_depth
+            finally:
+                a.close()
+                b.close()
 
-    def test_manifest_written_per_rank(self, shard_dir, sst):
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            with open(os.path.join(layout.rank_dir(1), MANIFEST),
-                      encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            assert manifest["n_snapshots"] == layout.rank_span(1)[1] - layout.rank_span(1)[0]
-            assert manifest["label"] == sst.label
-        finally:
-            layout.remove()
+    def test_span_of_a_span(self, shard_dir, sst):
+        with ShardDirSource(shard_dir) as base:
+            with base.span(1, 5) as outer, outer.span(1, 3) as inner:
+                assert inner.n_snapshots == 2
+                for j in range(2):
+                    assert_same_snapshot(inner.snapshot(j), sst.snapshots[2 + j])
 
-    def test_validation(self, shard_dir, tmp_path):
-        with pytest.raises(ValueError, match="nranks"):
-            OwnedShardLayout.build(shard_dir, 0)
-        with pytest.raises(FileNotFoundError):
-            OwnedShardLayout.build(str(tmp_path / "nope"), 2)
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        try:
-            with pytest.raises(IndexError):
-                layout.rank_dir(2)
-            with pytest.raises(IndexError):
-                layout.rank_span(-1)
-        finally:
-            layout.remove()
+    def test_span_writes_nothing(self, shard_dir, tmp_path, monkeypatch):
+        """A span reads the directory in place: no layout, no temp dir."""
+        import tempfile
 
-    def test_remove_keeps_base_directory(self, shard_dir):
-        layout = OwnedShardLayout.build(shard_dir, 2)
-        layout.remove()
-        assert not os.path.isdir(layout.root)
-        assert os.path.isfile(os.path.join(shard_dir, MANIFEST))
-        layout.remove()  # idempotent
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        before = sorted(os.listdir(shard_dir))
+        with ShardDirSource(shard_dir) as base, base.span(1, 4) as src:
+            for j in range(src.n_snapshots):
+                src.snapshot(j).get("u")
+        assert sorted(os.listdir(shard_dir)) == before
+        assert os.listdir(scratch) == []
+
+    def test_validation(self, shard_dir):
+        with ShardDirSource(shard_dir) as base:
+            for lo, hi in [(-1, 2), (3, 2), (0, 6)]:
+                with pytest.raises(ValueError, match="span"):
+                    base.span(lo, hi)
+
+    def test_remote_span_stages_privately(self, shard_dir, sst):
+        remote = RemoteTieredSource(shard_dir, max_staged=3, latency_s=0.25)
+        try:
+            with remote.span(2, 4) as src:
+                assert type(src) is RemoteTieredSource
+                assert src.remote_path == remote.remote_path
+                assert src.max_staged == 3 and src.latency_s == 0.25
+                assert src.path != remote.path  # private staging tier
+                assert_same_snapshot(src.snapshot(1), sst.snapshots[3])
+                assert np.array_equal(src.times, sst.times[2:4])
+                assert src.cache_info()["counters"]["remote_fetches"] == 1
+                staging = src.path
+            assert not os.path.isdir(staging)
+            assert os.path.isdir(remote.path)
+        finally:
+            remote.close()
+
+    def test_in_memory_span_is_a_shared_view(self, sst):
+        base = InMemorySource(sst)
+        view = base.span(1, 3)
+        assert isinstance(view, PartitionedSource)
+        assert view.snapshot(0) is sst.snapshots[1]
+        view.close()  # a no-op: the base stays usable
+        assert base.snapshot(1) is sst.snapshots[1]
 
 
 class TestAggregateCacheInfo:
@@ -190,23 +167,20 @@ class TestAggregateCacheInfo:
 
 
 class TestCloseLifecycle:
-    def test_close_joins_prefetch_thread(self, shard_dir):
-        before = {t for t in threading.enumerate()}
-        src = ShardedNpzSource(shard_dir, max_cached=2, prefetch=2)
+    def test_close_joins_prefetch_thread(self, shard_dir, busy_readahead):
+        src = ShardDirSource(shard_dir, max_cached=2, prefetch=2)
         src.prefetch([0, 1])
         src.snapshot(0)
+        assert busy_readahead(), "read-ahead never started"
         src.close()
-        leaked = [t for t in threading.enumerate()
-                  if t not in before and t.name == "shard-prefetch"]
-        assert leaked == [], f"prefetch thread leaked: {leaked}"
+        leaked = busy_readahead()
+        assert leaked == [], f"read-ahead thread leaked: {leaked}"
 
-    def test_context_manager_closes(self, shard_dir):
-        with ShardedNpzSource(shard_dir, max_cached=2, prefetch=1) as src:
+    def test_context_manager_closes(self, shard_dir, busy_readahead):
+        with ShardDirSource(shard_dir, max_cached=2, prefetch=1) as src:
             src.snapshot(0)
             src.snapshot(1)
-        assert not any(
-            t.name == "shard-prefetch" and t.is_alive()
-            for t in threading.enumerate()
-        )
+            assert busy_readahead(), "read-ahead never started"
+        assert busy_readahead() == []
         # Closing is idempotent and reentry-safe.
         src.close()

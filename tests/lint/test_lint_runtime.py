@@ -102,7 +102,6 @@ def test_registered_classes_are_instrumented(sanitizer):
     from repro.data.sources import (
         RemoteTieredSource,
         ShardDirSource,
-        ShardedNpzSource,
         SimulationSource,
     )
     from repro.parallel.threadcomm import CommWorld
@@ -114,9 +113,9 @@ def test_registered_classes_are_instrumented(sanitizer):
         (CommWorld, "_queues"),
     ):
         assert type(cls.__dict__[attr]).__name__ == "_GuardedAttr"
-    # the back-compat subclass inherits the instrumentation
-    assert isinstance(ShardedNpzSource._cache, object)
-    assert type(ShardedNpzSource.__mro__[1].__dict__["_cache"]).__name__ == "_GuardedAttr"
+    # the remote subclass inherits the base class's instrumentation
+    assert RemoteTieredSource.__mro__[1] is ShardDirSource
+    assert "_cache" not in RemoteTieredSource.__dict__
 
 
 def test_shm_leak_detection(sanitizer):

@@ -1,6 +1,5 @@
 """Tests for streaming / in-situ sampling."""
 
-import os
 
 import numpy as np
 import pytest
@@ -642,8 +641,6 @@ class TestStreamSubsample:
         from repro.sampling import subsample
 
         with pytest.raises(ValueError, match="stream"):
-            subsample(sst, self._case(), seed=0, owned_shards=True)
-        with pytest.raises(ValueError, match="stream"):
             subsample(sst, self._case(), seed=0, on_rank_failure="reweight")
         with pytest.raises(ValueError, match="stream"):
             subsample(sst, self._case(), seed=0, fault_hook=lambda r: False)
@@ -1054,7 +1051,8 @@ class TestFaultInjection:
 
 
 class TestOwnedShardStreaming:
-    """Per-rank shard ownership end to end through run_stream_subsample."""
+    """Per-rank span sources end to end through run_stream_subsample: over
+    a shard directory every rank owns a private source for its span."""
 
     def _case(self):
         from repro.utils.config import (
@@ -1087,16 +1085,20 @@ class TestOwnedShardStreaming:
         save_dataset(sst, str(path))
         return str(path)
 
-    def test_owned_matches_shared_bitwise(self, shard_dir):
-        """Ownership is pure I/O isolation: same spans, same rngs, same
-        points as the shared-cache view."""
-        from repro.data import ShardedNpzSource
+    def test_owned_matches_shared_bitwise(self, shard_dir, sst):
+        """Owning a span is pure I/O isolation: same spans, same rngs, same
+        points as the shared views an in-memory source hands its ranks
+        (given the same histogram range: only an in-memory source knows
+        the exact one up front)."""
+        from repro.data import InMemorySource, ShardDirSource
 
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
-            shared = run_stream_subsample(src, self._case(), seed=0, nranks=4)
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        vr = InMemorySource(sst).value_range_hint(sst.cluster_var)
+        shared = run_stream_subsample(sst, self._case(), seed=0, nranks=4,
+                                      value_range=vr)
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             owned = run_stream_subsample(src, self._case(), seed=0, nranks=4,
-                                         owned_shards=True)
+                                         value_range=vr)
+        assert "cache" not in shared.meta
         assert np.array_equal(shared.points.coords, owned.points.coords)
         for var in shared.points.values:
             assert np.array_equal(shared.points.values[var],
@@ -1105,11 +1107,10 @@ class TestOwnedShardStreaming:
     def test_no_cross_rank_cache_sharing(self, shard_dir, sst):
         """Acceptance: per-rank cache_info decodes exactly the rank's own
         span and sums to the dataset's total I/O."""
-        from repro.data import ShardedNpzSource
+        from repro.data import ShardDirSource
 
-        with ShardedNpzSource(shard_dir, max_cached=2, prefetch=1) as src:
-            res = run_stream_subsample(src, self._case(), seed=0, nranks=4,
-                                       owned_shards=True)
+        with ShardDirSource(shard_dir, max_cached=2, prefetch=1) as src:
+            res = run_stream_subsample(src, self._case(), seed=0, nranks=4)
         cache = res.meta["cache"]
         spans = [tuple(p["span"]) for p in res.meta["producers"]]
         for info, (lo, hi) in zip(cache["per_rank"], spans):
@@ -1119,82 +1120,57 @@ class TestOwnedShardStreaming:
         assert cache["total"]["decodes"] == sst.n_snapshots
         assert cache["total"]["ranks"] == 4
 
-    def test_no_leaked_prefetch_threads(self, shard_dir):
-        """Satellite: every per-rank prefetcher is joined by the pipeline
-        teardown."""
-        import threading
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_per_rank_decodes_cover_span(self, shard_dir, backend):
+        """Each rank decodes each shard of its span exactly once, on either
+        backend — and never one outside it."""
+        from repro.data import ShardDirSource
 
-        from repro.data import ShardedNpzSource
+        with ShardDirSource(shard_dir, max_cached=2, prefetch=1) as src:
+            res = run_stream_subsample(src, self._case(), seed=0, nranks=3,
+                                       backend=backend)
+        per_rank = res.meta["cache"]["per_rank"]
+        assert len(per_rank) == 3
+        for info, p in zip(per_rank, res.meta["producers"]):
+            lo, hi = p["span"]
+            c = info["counters"]
+            assert c["misses"] + c["prefetched"] == hi - lo, (p["rank"], c)
 
-        with ShardedNpzSource(shard_dir, max_cached=2, prefetch=2) as src:
-            run_stream_subsample(src, self._case(), seed=0, nranks=3,
-                                 owned_shards=True)
-        alive = [t for t in threading.enumerate()
-                 if t.name == "shard-prefetch" and t.is_alive()]
-        assert alive == [], f"leaked prefetch threads: {alive}"
+    def test_no_leaked_prefetch_threads(self, shard_dir, busy_readahead):
+        """Satellite: every rank closes its span source, which joins its
+        read-ahead thread."""
+        from repro.data import ShardDirSource
+
+        with ShardDirSource(shard_dir, max_cached=2, prefetch=2) as src:
+            run_stream_subsample(src, self._case(), seed=0, nranks=3)
+        alive = busy_readahead()
+        assert alive == [], f"leaked read-ahead threads: {alive}"
 
     def test_owned_with_more_ranks_than_shards(self, shard_dir, sst):
-        """Satellite regression: empty owned directories stream nothing and
-        merge as zero mass."""
-        from repro.data import ShardedNpzSource
+        """Satellite regression: empty spans stream nothing and merge as
+        zero mass."""
+        from repro.data import ShardDirSource
 
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             res = run_stream_subsample(src, self._case(), seed=0,
-                                       nranks=sst.n_snapshots + 3,
-                                       owned_shards=True)
+                                       nranks=sst.n_snapshots + 3)
         assert res.n_samples == 600
         assert res.n_points_scanned == sst.n_snapshots * sst.n_points_per_snapshot
         empty = [p for p in res.meta["producers"] if p["span"][0] == p["span"][1]]
         assert len(empty) == 3
         assert all(p["n_seen"] == 0 and not p["failed"] for p in empty)
 
-    def test_owned_requires_sharded_source(self, sst):
-        with pytest.raises(ValueError, match="owned_shards"):
-            run_stream_subsample(sst, self._case(), seed=0, nranks=2,
-                                 owned_shards=True)
-
-    def test_owned_requires_multiple_ranks(self, shard_dir):
-        """Regression: owned_shards at nranks=1 must refuse, not silently
-        run the single-producer path while meta claims ownership."""
-        from repro.data import ShardedNpzSource
-
-        with ShardedNpzSource(shard_dir) as src:
-            with pytest.raises(ValueError, match="nranks >= 2"):
-                run_stream_subsample(src, self._case(), seed=0, nranks=1,
-                                     owned_shards=True)
-
-    def test_layout_scratch_dir_removed_after_run(self, shard_dir, monkeypatch):
-        """The owned layout is run-scoped: its temp directory is gone after
-        the subsample, success or failure."""
-        from repro.data import ShardedNpzSource
-        from repro.data.store import OwnedShardLayout
-
-        roots = []
-        orig = OwnedShardLayout.build.__func__
-
-        def spy(cls, path, nranks, dest=None):
-            layout = orig(cls, path, nranks, dest)
-            roots.append(layout.root)
-            return layout
-
-        monkeypatch.setattr(OwnedShardLayout, "build", classmethod(spy))
-        with ShardedNpzSource(shard_dir) as src:
-            run_stream_subsample(src, self._case(), seed=0, nranks=2,
-                                 owned_shards=True)
-        assert len(roots) == 1
-        assert not os.path.isdir(roots[0])
-
-    def test_fault_injection_with_owned_shards(self, shard_dir):
-        """The acceptance combination: ownership + a mid-span death."""
+    def test_fault_injection_with_span_sources(self, shard_dir):
+        """The acceptance combination: private spans + a mid-span death."""
         def hook(rank, snapshots_done=0, rows_fed=0):
             return rank == 1 and rows_fed > 2000
 
-        from repro.data import ShardedNpzSource
+        from repro.data import ShardDirSource
 
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             res = run_stream_subsample(
                 src, self._case(), seed=0, nranks=4, chunk_rows=2048,
-                owned_shards=True, fault_hook=hook, on_rank_failure="reweight",
+                fault_hook=hook, on_rank_failure="reweight",
             )
         assert res.n_samples == 600
         assert res.meta["failed_ranks"] == [1]

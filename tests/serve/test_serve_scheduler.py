@@ -72,6 +72,7 @@ class StubRunner:
         self.gate: dict[int, threading.Event] = {}
         self.fail_once: dict[int, Exception] = {}
         self.park_on_stop = False
+        self.cache: dict | None = None  # meta["cache"] of finished jobs
         self.calls: list[tuple[int, str | None]] = []
         self._lock = threading.Lock()
 
@@ -94,8 +95,10 @@ class StubRunner:
             return JobOutcome(status="checkpointed",
                               meta={"epochs_run": 1, "epochs_target": 50},
                               checkpoint_path=ckpt)
-        return JobOutcome(status="done", artifact=FakeArtifact(),
-                          meta={"n_samples": 64, "total_energy": 1.5})
+        meta = {"n_samples": 64, "total_energy": 1.5}
+        if self.cache is not None:
+            meta["cache"] = self.cache
+        return JobOutcome(status="done", artifact=FakeArtifact(), meta=meta)
 
 
 @pytest.fixture()
@@ -338,3 +341,20 @@ class TestStats:
             assert stats["store"]["entries"] == 2
             assert stats["jobs"]["done"] == 2
             assert stats["running_cost"] == 0
+
+    def test_cache_aggregate_sums_rank_counters(self, stub, store, tmp_path):
+        """/v1/stats sums the per-rank counters of every finished job."""
+        stub.cache = {
+            "per_rank": [{"counters": {"misses": 2, "prefetched": 1}},
+                         {"counters": {"misses": 3, "prefetched": 0}}],
+            "total": {"ranks": 2, "misses": 5, "prefetched": 1, "decodes": 6},
+        }
+        with scheduler_for(store, tmp_path) as sched:
+            a = sched.submit(make_spec(seed=1))
+            b = sched.submit(make_spec(seed=2))
+            wait_for(lambda: all(
+                sched.job(j)["status"] == "done" for j in (a["id"], b["id"])),
+                what="both jobs")
+            cache = sched.stats()["cache"]
+        assert cache["ranks"] == 4
+        assert cache["misses"] == 10 and cache["decodes"] == 12

@@ -145,7 +145,7 @@ class TestSpecParity:
             tune=None, train=False, case=case_file, seed=3, ranks=2,
             scale=0.5, stream=False, backend="thread", retries=0,
             source=None, epochs=None, max_cached_shards=None, prefetch=0,
-            owned_shards=False, on_rank_failure=None,
+            on_rank_failure=None,
             inject_rank_failure=None, stream_shuffle=0, checkpoint_every=1)
         via_cli = JobSpec.from_json(_build_spec(args)).content_key()
         direct = JobSpec.from_json({
@@ -165,7 +165,7 @@ class TestSpecParity:
                 tune=None, train=False, case=case_file, seed=0, ranks=1,
                 scale=0.5, stream=False, backend="thread", retries=0,
                 source="shards/", epochs=None, max_cached_shards=None,
-                prefetch=prefetch, owned_shards=False, on_rank_failure=None,
+                prefetch=prefetch, on_rank_failure=None,
                 inject_rank_failure=None, stream_shuffle=0,
                 checkpoint_every=1))
 

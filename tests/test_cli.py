@@ -157,16 +157,18 @@ class TestOwnedShardFlags:
                      path)
         return path
 
-    def test_owned_shards_stream(self, sst_case, shard_dir, capsys):
+    def test_stream_span_sources_process_backend(self, sst_case, shard_dir,
+                                                 capsys):
+        """Each forked rank opens a private span source of the directory."""
         code = subsample_main([sst_case, "--stream", "--ranks", "2",
-                               "--source", shard_dir, "--owned-shards"])
+                               "--source", shard_dir, "--backend", "process"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Subsampled" in out
 
     def test_injected_failure_reweights(self, sst_case, shard_dir, capsys):
         code = subsample_main([sst_case, "--stream", "--ranks", "2",
-                               "--source", shard_dir, "--owned-shards",
+                               "--source", shard_dir,
                                "--on-rank-failure", "reweight",
                                "--inject-rank-failure", "1"])
         out = capsys.readouterr().out
@@ -231,33 +233,6 @@ class TestFlagValidation:
         captured = capsys.readouterr()
         assert code == 0
         assert "no effect" in captured.err
-
-    def test_owned_shards_requires_stream(self, sst_case, tmp_path, capsys):
-        from repro.data import build_dataset, save_dataset
-
-        shard_dir = str(tmp_path / "shards")
-        save_dataset(build_dataset("SST-P1F4", scale=0.5, rng=0, n_snapshots=2),
-                     shard_dir)
-        with pytest.raises(SystemExit):
-            subsample_main([sst_case, "--source", shard_dir, "--owned-shards"])
-        assert "--owned-shards requires --stream" in capsys.readouterr().err
-
-    def test_owned_shards_requires_shard_source(self, sst_case, capsys):
-        with pytest.raises(SystemExit):
-            subsample_main([sst_case, "--stream", "--ranks", "2",
-                            "--owned-shards"])
-        assert "--source" in capsys.readouterr().err
-
-    def test_owned_shards_requires_multiple_ranks(self, sst_case, tmp_path, capsys):
-        from repro.data import build_dataset, save_dataset
-
-        shard_dir = str(tmp_path / "shards")
-        save_dataset(build_dataset("SST-P1F4", scale=0.5, rng=0, n_snapshots=2),
-                     shard_dir)
-        with pytest.raises(SystemExit):
-            subsample_main([sst_case, "--stream", "--source", shard_dir,
-                            "--owned-shards"])
-        assert "--ranks >= 2" in capsys.readouterr().err
 
     def test_on_rank_failure_requires_stream(self, sst_case, capsys):
         with pytest.raises(SystemExit):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.data import build_dataset
-from repro.data.sources import as_source
+from repro.data.sources import open_source
 from repro.nn import LSTMRegressor, MLPTransformer
 from repro.nn.tensor import Tensor
 from repro.sampling import subsample
@@ -194,7 +194,7 @@ class TestStreamFeed:
     def _feed(self, sst, **kwargs):
         res = subsample(sst, sst_case(), seed=0, mode="stream")
         assembler = stream_assembler(sst, sst_case(), res.points)
-        return StreamFeed(as_source(sst), assembler, batch=4, test_frac=0.2,
+        return StreamFeed(open_source(sst), assembler, batch=4, test_frac=0.2,
                           seed=0, **kwargs)
 
     def test_batch_shapes_and_counts(self, sst):
@@ -236,7 +236,7 @@ class TestStreamFeed:
         case = sst_case(window=8)  # longer than the 6-snapshot stream
         assembler = stream_assembler(sst, case, res.points)
         with pytest.raises(ValueError, match="at least 2 window samples"):
-            StreamFeed(as_source(sst), assembler, batch=4, seed=0)
+            StreamFeed(open_source(sst), assembler, batch=4, seed=0)
 
     def test_unsupported_arch_rejected(self, sst):
         res = subsample(sst, sst_case(), seed=0, mode="stream")
@@ -254,12 +254,12 @@ class TestStreamFeed:
 
 class TestShardedFeed:
     def test_for_rank_agrees_on_global_facts(self, sst):
-        from repro.data.sources import PartitionedSource, as_source
+        from repro.data.sources import PartitionedSource, open_source
         from repro.parallel.partition import stream_partitions
 
         res = subsample(sst, sst_case(), seed=0, mode="stream")
         case = sst_case()
-        source = as_source(sst)
+        source = open_source(sst)
         parts = stream_partitions(source.n_snapshots, 2)
 
         class FakeComm:
@@ -289,12 +289,12 @@ class TestShardedFeed:
         assert f0.n_test_local + f1.n_test_local == f0.n_test_global
 
     def test_starved_rank_rejected(self, sst):
-        from repro.data.sources import PartitionedSource, as_source
+        from repro.data.sources import PartitionedSource, open_source
         from repro.parallel.partition import stream_partitions
 
         res = subsample(sst, sst_case(), seed=0, mode="stream")
         case = sst_case(window=3)
-        source = as_source(sst)
+        source = open_source(sst)
         nranks = 4  # 6 snapshots / 4 ranks -> spans of 1-2 < window 3
         parts = stream_partitions(source.n_snapshots, nranks)
 

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import Experiment, build_model_for_case
-from repro.data import ShardedNpzSource, build_dataset, save_dataset
-from repro.data.sources import as_source
+from repro.data import ShardDirSource, build_dataset, open_source, save_dataset
 from repro.nn.tensor import Tensor, no_grad
 from repro.sampling import subsample
 from repro.train import (
@@ -46,7 +45,7 @@ class TestStreamTrainingAcceptance:
         footprint = ds.nbytes()
         del ds
 
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             tracemalloc.start()
             exp = (
                 Experiment.from_case(sst_case())
@@ -64,7 +63,10 @@ class TestStreamTrainingAcceptance:
             f"stream training peaked at {peak / 1e6:.1f} MB, above the "
             f"{footprint / 1e6:.1f} MB resident footprint it must undercut"
         )
-        # The shard LRU honoured its bound the whole way through.
+        # Every shard LRU honoured its bound the whole way through: the
+        # subsample ranks' span sources and the source the fit streamed.
+        per_rank = exp.subsample_artifact.result.meta["cache"]["per_rank"]
+        assert all(info["gauges"]["max_resident"] <= 2 for info in per_rank)
         assert src.cache_info()["gauges"]["max_resident"] <= 2
 
     def test_stream_loss_ks_bounded_vs_offline(self):
@@ -83,8 +85,8 @@ class TestStreamTrainingAcceptance:
             return np.sort(np.concatenate(errs))
 
         sres = subsample(ds, case, seed=0, mode="stream", nranks=2)
-        assembler = stream_assembler(as_source(ds), case, sres.points)
-        sfeed = StreamFeed(as_source(ds), assembler, batch=4, test_frac=0.2,
+        assembler = stream_assembler(open_source(ds), case, sres.points)
+        sfeed = StreamFeed(open_source(ds), assembler, batch=4, test_frac=0.2,
                            seed=0)
         smodel = build_model_for_case(case, sfeed.spec, rng=0)
         sfit = TrainLoop(smodel, seed=0).fit(sfeed, epochs=5)
@@ -151,20 +153,50 @@ class TestExperimentStreamTraining:
         assert result.meta["ranks"] == 2
         assert np.isfinite(result.final_test_loss)
 
-    def test_stream_ddp_owned_shards_per_rank(self, tmp_path):
-        """Sharded sources give each DDP rank a private owned-shard source."""
+    def test_stream_ddp_span_sources_per_rank(self, tmp_path, busy_readahead):
+        """Sharded sources give each DDP rank a private span source, which
+        the rank closes when its fit ends."""
         shard_dir = str(tmp_path / "shards")
         save_dataset(self._ds(), shard_dir)
-        with ShardedNpzSource(shard_dir, max_cached=2) as src:
+        with ShardDirSource(shard_dir, max_cached=2) as src:
             exp = (Experiment.from_case(sst_case())
                    .with_source(src).with_seed(0).with_train_ranks(2)
                    .subsample(mode="stream", ranks=2)
                    .train(mode="stream"))
         result = exp.train_artifact.result
         assert result.meta["feed"]["kind"] == "ShardedFeed"
-        # per-rank owned sources are reopened as the codec-agnostic class
+        # per-rank span sources are the codec-agnostic class
         assert result.meta["feed"]["source"] == "ShardDirSource"
+        cache = result.meta["cache"]
+        assert cache["total"]["ranks"] == 2
+        assert all(info["gauges"]["max_resident"] <= 2
+                   for info in cache["per_rank"])
+        assert busy_readahead() == []
         assert np.isfinite(result.final_test_loss)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_span_sources_create_no_temp_files(self, tmp_path, monkeypatch,
+                                               backend):
+        """Multi-rank stream subsample + stream train over a local shard
+        directory touch no temp dir: the temp root points at a missing
+        directory, so any attempt to create one there fails the run."""
+        import os
+        import tempfile
+
+        shard_dir = str(tmp_path / "shards")
+        save_dataset(self._ds(), shard_dir)
+        before = sorted(os.listdir(shard_dir))
+        missing = tmp_path / "no-temp-dir"
+        monkeypatch.setattr(tempfile, "tempdir", str(missing))
+        with ShardDirSource(shard_dir, max_cached=2) as src:
+            exp = (Experiment.from_case(sst_case())
+                   .with_source(src).with_seed(0).with_backend(backend)
+                   .with_train_ranks(2)
+                   .subsample(mode="stream", ranks=2)
+                   .train(mode="stream"))
+        assert np.isfinite(exp.train_artifact.result.final_test_loss)
+        assert not missing.exists()
+        assert sorted(os.listdir(shard_dir)) == before
 
     def test_stream_serial_vs_ddp_both_finite_and_deterministic(self):
         def run(ranks):
@@ -331,8 +363,8 @@ class TestShuffleBuffer:
         sres = subsample(ds, case, seed=0, mode="stream")
 
         def batches(shuffle):
-            assembler = stream_assembler(as_source(ds), case, sres.points)
-            feed = StreamFeed(as_source(ds), assembler, batch=4, seed=0,
+            assembler = stream_assembler(open_source(ds), case, sres.points)
+            feed = StreamFeed(open_source(ds), assembler, batch=4, seed=0,
                               shuffle=shuffle)
             return [x for xb, _ in feed.train_batches(0) for x in xb]
 
@@ -359,8 +391,8 @@ class TestShuffleBuffer:
             return np.sort(np.concatenate(errs))
 
         sres = subsample(ds, case, seed=0, mode="stream", nranks=2)
-        assembler = stream_assembler(as_source(ds), case, sres.points)
-        sfeed = StreamFeed(as_source(ds), assembler, batch=4, test_frac=0.2,
+        assembler = stream_assembler(open_source(ds), case, sres.points)
+        sfeed = StreamFeed(open_source(ds), assembler, batch=4, test_frac=0.2,
                            seed=0, shuffle=64)
         smodel = build_model_for_case(case, sfeed.spec, rng=0)
         sfit = TrainLoop(smodel, seed=0).fit(sfeed, epochs=5)
@@ -389,8 +421,8 @@ class TestShuffleBuffer:
         sres = subsample(ds, case, seed=0, mode="stream")
 
         def feed():
-            assembler = stream_assembler(as_source(ds), case, sres.points)
-            return StreamFeed(as_source(ds), assembler, batch=4, seed=0,
+            assembler = stream_assembler(open_source(ds), case, sres.points)
+            return StreamFeed(open_source(ds), assembler, batch=4, seed=0,
                               shuffle=32)
 
         a, b = feed(), feed()
