@@ -72,6 +72,7 @@ from repro.data.store import META_KEY as _META_KEY
 from repro.data.store import points_from_npz, points_payload
 from repro.energy.meter import EnergyMeter
 from repro.sampling.pipeline import SubsampleResult, subsample
+from repro.spec import check_field
 from repro.train import build_drag_data, build_reconstruction_data
 from repro.train.callbacks import Checkpoint
 from repro.train.data import stream_assembler
@@ -399,6 +400,8 @@ class Experiment:
         self.seed = 0
         self.scale = 1.0
         self.epochs: int | None = None
+        self.on_rank_failure = "raise"  # stream-mode partial-stream policy
+        self.fault_hook = None
         self.artifacts: dict[str, Artifact] = {}
         self._source: SnapshotSource | None = None
         self._source_explicit = False
@@ -420,15 +423,13 @@ class Experiment:
 
     def with_ranks(self, n: int) -> Experiment:
         """Simulated MPI ranks for the subsample phase (``srun -n N``)."""
-        if n < 1:
-            raise ValueError("ranks must be >= 1")
+        check_field("ranks", n)
         self.ranks = int(n)
         return self
 
     def with_train_ranks(self, n: int) -> Experiment:
         """Simulated DDP ranks for the training phase."""
-        if n < 1:
-            raise ValueError("train ranks must be >= 1")
+        check_field("ranks", n)
         self.train_ranks = int(n)
         return self
 
@@ -437,12 +438,7 @@ class Experiment:
         modeling, the default) or ``"process"`` (forked workers with
         shared-memory transport — real wall-clock parallelism).  Results are
         byte-identical across backends for the same (seed, ranks)."""
-        from repro.parallel import SPMD_BACKENDS
-
-        if backend not in SPMD_BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {SPMD_BACKENDS}"
-            )
+        check_field("backend", backend)
         self.backend = backend
         return self
 
@@ -450,8 +446,7 @@ class Experiment:
         """Shuffle-buffer capacity for stream-mode training feeds (see
         :class:`~repro.train.feeds.ShuffleBuffer`).  ``0`` (the default)
         keeps arrival order, byte-identical to pre-shuffle fits."""
-        if capacity < 0:
-            raise ValueError("shuffle capacity must be >= 0")
+        check_field("stream_shuffle", capacity)
         self.stream_shuffle = int(capacity)
         return self
 
@@ -462,8 +457,7 @@ class Experiment:
 
     def with_scale(self, scale: float) -> Experiment:
         """Dataset resolution scale (1.0 = the case's native grid)."""
-        if scale <= 0:
-            raise ValueError("scale must be > 0")
+        check_field("scale", scale)
         self.scale = float(scale)
         self._invalidate_dataset()
         return self
@@ -490,9 +484,20 @@ class Experiment:
 
     def with_epochs(self, epochs: int | None) -> Experiment:
         """Override the case's epoch budget (None keeps the case value)."""
-        if epochs is not None and epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_field("epochs", epochs)
         self.epochs = epochs
+        return self
+
+    def with_rank_failure(self, policy: str, fault_hook=None) -> Experiment:
+        """Stream-mode policy when a producer rank dies mid-span
+        (``"reweight"`` merges what failed producers delivered, ``"raise"``,
+        the default, fails the draw); ``fault_hook`` injects producer deaths
+        for testing (see :func:`repro.sampling.pipeline.subsample`).
+        Applies to every stream subsample, the one ``train`` runs
+        implicitly included."""
+        check_field("on_rank_failure", policy)
+        self.on_rank_failure = policy
+        self.fault_hook = fault_hook
         return self
 
     def with_source(self, source: SnapshotSource | TurbulenceDataset | str) -> Experiment:
@@ -555,8 +560,6 @@ class Experiment:
         self,
         mode: str = "batch",
         ranks: int | None = None,
-        on_rank_failure: str = "raise",
-        fault_hook=None,
     ) -> Experiment:
         """Run the subsampling pipeline and record its artifact.
 
@@ -568,24 +571,20 @@ class Experiment:
         mode each rank streams its own snapshot partition concurrently,
         with per-rank sampler states recombined by weighted merge.
 
-        Stream-only knobs (see :func:`repro.sampling.pipeline.subsample`):
-        ``on_rank_failure`` picks the partial-stream policy (``"reweight"``
-        merges what failed producers delivered, ``"raise"`` fails the
-        draw); ``fault_hook`` injects producer deaths for testing.
+        Stream mode applies the :meth:`with_rank_failure` policy.
         """
-        if ranks is None:
-            ranks = self.ranks
-        elif ranks < 1:
-            raise ValueError("ranks must be >= 1")
+        check_field("ranks", ranks)
+        ranks = self.ranks if ranks is None else ranks
         result = subsample(self.source, self.case, nranks=int(ranks),
                            seed=self.seed, mode=mode,
-                           on_rank_failure=on_rank_failure, fault_hook=fault_hook,
+                           on_rank_failure=self.on_rank_failure,
+                           fault_hook=self.fault_hook,
                            backend=self.backend)
         self.artifacts["subsample"] = SubsampleArtifact(
             meta={"seed": self.seed, "case": self.case.to_dict(),
                   "ranks": int(ranks), "scale": self.scale, "mode": mode,
                   "backend": self.backend,
-                  "on_rank_failure": on_rank_failure,
+                  "on_rank_failure": self.on_rank_failure,
                   "source": type(self.source).__name__},
             result=result,
         )
@@ -620,8 +619,7 @@ class Experiment:
         in service mode); with multiple train ranks each rank's loop gets
         the same instances, so they must be fork/thread-safe.
         """
-        if mode not in ("batch", "stream"):
-            raise ValueError(f"mode must be 'batch' or 'stream', got {mode!r}")
+        check_field("mode", mode)
         if "subsample" not in self.artifacts:
             self.subsample(mode=mode)
         result: SubsampleResult = self.subsample_artifact.result
@@ -864,6 +862,18 @@ class Experiment:
             if art is not None:
                 blocks.append(f"== {name} ==\n{art.summary()}")
         return "\n\n".join(blocks)
+
+    def close(self) -> None:
+        """Release the source's resources (read-ahead threads, staging
+        dirs); ``with`` blocks call it on exit."""
+        if self._source is not None:
+            self._source.close()
+
+    def __enter__(self) -> Experiment:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def save(self, directory: str) -> dict[str, str]:
         """Persist every recorded artifact under ``directory``; returns paths."""

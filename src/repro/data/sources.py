@@ -75,6 +75,7 @@ from repro.sim.fields import FlowField
 __all__ = [
     "SnapshotSource",
     "InMemorySource",
+    "DEFAULT_MAX_CACHED",
     "DEFAULT_PREFETCH",
     "ShardDirSource",
     "RemoteTieredSource",
@@ -325,6 +326,8 @@ class CacheInfo(dict):
     """
 
 
+#: decoded shards a shard source keeps resident without an explicit ``max_cached``
+DEFAULT_MAX_CACHED = 2
 #: look-ahead depth of shard sources built without an explicit ``prefetch``
 DEFAULT_PREFETCH = 1
 
@@ -399,7 +402,7 @@ class ShardDirSource(SnapshotSource):
     tier = "local"
 
     def __init__(
-        self, path: str, max_cached: int = 2, prefetch: int = DEFAULT_PREFETCH,
+        self, path: str, max_cached: int = DEFAULT_MAX_CACHED, prefetch: int = DEFAULT_PREFETCH,
         lazy: bool = True,
     ) -> None:
         if max_cached < 1:
@@ -822,7 +825,7 @@ class RemoteTieredSource(ShardDirSource):
         max_staged: int = 4,
         latency_s: float = 0.01,
         bandwidth: float = 100e6,
-        max_cached: int = 2,
+        max_cached: int = DEFAULT_MAX_CACHED,
         prefetch: int = DEFAULT_PREFETCH,
         lazy: bool = True,
     ) -> None:
@@ -1122,17 +1125,6 @@ class PartitionedSource(SnapshotSource):
         self.gravity = base.gravity
         self.target = base.target[lo:hi] if base.target is not None else None
 
-    @classmethod
-    def split(cls, source: SnapshotSource, nranks: int) -> list[PartitionedSource]:
-        """One contiguous view per rank (sizes differ by at most one
-        snapshot; trailing views are empty when ``nranks > n_snapshots``)."""
-        from repro.parallel.partition import stream_partitions
-
-        return [
-            cls(source, part.lo, part.hi)
-            for part in stream_partitions(source.n_snapshots, nranks)
-        ]
-
     @property
     def n_snapshots(self) -> int:
         return self.hi - self.lo
@@ -1229,7 +1221,7 @@ _REMOTE_KNOBS = {
 def open_source(
     spec,
     *,
-    max_cached: int = 2,
+    max_cached: int = DEFAULT_MAX_CACHED,
     prefetch: int | None = None,
     lazy: bool = True,
 ) -> SnapshotSource:

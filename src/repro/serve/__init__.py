@@ -1,9 +1,10 @@
 """repro-serve — subsampling/training as a long-lived service.
 
 The ROADMAP's "millions of users" direction: a stdlib-only HTTP daemon
-that accepts subsample/train/tune jobs as JSON specs, validates them
-through the same registries as :class:`repro.api.Experiment`, schedules
-them over a bounded worker pool on the SPMD substrate, and deduplicates
+that accepts subsample/train/tune jobs as JSON
+:class:`~repro.spec.RunSpec` documents, validates them with the same
+``RunSpec.validate`` as the CLIs, schedules them over a bounded worker
+pool on the SPMD substrate, and deduplicates
 repeated work by content key against an on-disk artifact store — a
 repeated request returns the cached artifact byte-identical to a direct
 ``Experiment`` run, and an in-flight duplicate attaches to the running
@@ -12,7 +13,6 @@ job instead of forking a second compute.
 Layers (each importable standalone)::
 
     keys.py       canonical JSON + sha256 content keys (the dedupe primitive)
-    jobs.py       JobSpec — parse / validate / content_key
     store.py      ArtifactStore — content-keyed on-disk artifact cache
     scheduler.py  Scheduler + AdmissionPolicy — queue, worker pool, budget
     runner.py     execute_job — one job spec -> one Artifact
@@ -22,7 +22,6 @@ Layers (each importable standalone)::
 """
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.jobs import JobSpec, JobSpecError
 from repro.serve.keys import canonical_json, content_key, source_fingerprint
 from repro.serve.scheduler import AdmissionPolicy, Scheduler
 from repro.serve.server import ReproServer
@@ -31,8 +30,6 @@ from repro.serve.store import ArtifactStore
 __all__ = [
     "AdmissionPolicy",
     "ArtifactStore",
-    "JobSpec",
-    "JobSpecError",
     "ReproServer",
     "Scheduler",
     "ServeClient",

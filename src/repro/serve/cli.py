@@ -9,10 +9,11 @@ final per-job disposition is printed as one JSON summary line
 (``repro-serve shutdown: {...}``) before a clean exit.
 
 ``repro-submit`` mirrors the ``repro-subsample`` / ``repro-train`` flag
-surface, posts the job spec, and (by default) polls to completion and
+surface (the shared :data:`repro.spec.FLAGS` declarations), posts the
+:class:`~repro.spec.RunSpec`, and (by default) polls to completion and
 prints the result; ``--output`` downloads the artifact.  Invalid flag
-combinations are rejected up front in the same style as the other
-commands.
+combinations are rejected up front by the same ``RunSpec.validate`` as
+the other commands.
 """
 
 from __future__ import annotations
@@ -100,14 +101,14 @@ def serve_main(argv: list[str] | None = None) -> int:
 # ---------------------------------------------------------------- client ----
 
 def _validate_submit_args(parser: argparse.ArgumentParser, args) -> None:
-    """Invalid-combo rejection, same style as repro-subsample/repro-train."""
+    """Client-side rules; the run parameters are checked by RunSpec.validate."""
     if args.resume is not None:
         spec_flags = [
             name for name, default, value in (
                 ("case", None, args.case),
-                ("--tune", None, args.tune),
+                ("--tune", None, args.tune_trials),
                 ("--train", False, args.train),
-                ("--stream", False, args.stream),
+                ("--stream", "batch", args.mode),
                 ("--source", None, args.source),
             ) if value != default
         ]
@@ -120,31 +121,17 @@ def _validate_submit_args(parser: argparse.ArgumentParser, args) -> None:
         return
     if args.case is None:
         parser.error("a case YAML file is required (or --resume JOB_ID)")
-    if args.tune is not None:
-        if args.tune < 1:
-            parser.error("--tune needs at least 1 trial")
-        if args.train:
-            parser.error("--tune and --train are different job kinds "
-                         "(pick one)")
-        if args.stream:
-            parser.error("--tune searches over resident training arrays; "
-                         "it cannot combine with --stream (drop one)")
-        if args.ranks > 1:
-            parser.error("--tune trials run serially; --ranks > 1 would be "
-                         "silently ignored (drop it)")
+    if args.tune_trials is not None and args.train:
+        parser.error("--tune and --train are different job kinds (pick one)")
     if args.output and not args.wait:
         parser.error("--output downloads the finished artifact, which needs "
                      "--wait (drop --no-wait)")
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if args.checkpoint_every < 1:
-        parser.error("--checkpoint-every needs a positive epoch count")
-    if args.checkpoint_every != 1 and not args.train:
-        parser.error("--checkpoint-every applies only to --train jobs")
 
 
 def submit_main(argv: list[str] | None = None) -> int:
     """Submit a job to a running repro-serve and (optionally) await it."""
+    from repro.spec import RunSpec
+
     parser = argparse.ArgumentParser(prog="repro-submit",
                                      description=submit_main.__doc__)
     parser.add_argument("case", nargs="?", default=None,
@@ -153,33 +140,12 @@ def submit_main(argv: list[str] | None = None) -> int:
                         help="repro-serve base URL")
     parser.add_argument("--train", action="store_true",
                         help="submit a train job (default: subsample)")
-    parser.add_argument("--tune", type=int, default=None, metavar="N",
-                        help="submit a tune job with N trials")
-    parser.add_argument("--ranks", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--stream", action="store_true",
-                        help="stream mode (single-pass samplers / "
-                             "stream-first training)")
-    parser.add_argument("--source", default=None,
-                        help="'sim' or an open_source() spec, as in "
-                             "repro-subsample --source")
-    parser.add_argument("--backend", choices=("thread", "process"),
-                        default="thread")
-    parser.add_argument("--max-cached-shards", type=int, default=None)
-    parser.add_argument("--prefetch", type=int, default=None,
-                        help="shards to read ahead (shard-directory sources "
-                             "only; default: the source default)")
-    parser.add_argument("--on-rank-failure", choices=("reweight", "raise"),
-                        default=None)
-    parser.add_argument("--inject-rank-failure", type=int, default=None,
-                        metavar="RANK")
-    parser.add_argument("--stream-shuffle", type=int, default=0)
-    parser.add_argument("--retries", type=int, default=0,
-                        help="re-run the job this many times if an SPMD "
-                             "worker dies (deterministic errors never retry)")
-    parser.add_argument("--checkpoint-every", type=int, default=1)
+    RunSpec.add_flags(
+        parser, "tune_trials", "ranks", "seed", "scale", "epochs", "mode",
+        "source", "backend", "max_cached_shards", "prefetch",
+        "on_rank_failure", "inject_rank_failure", "stream_shuffle", "retries",
+        "checkpoint_every", tune_trials="submit a tune job with N trials",
+    )
     parser.add_argument("--resume", default=None, metavar="JOB_ID",
                         help="continue a drained (checkpointed) train job")
     parser.add_argument("--wait", dest="wait", action="store_true",
@@ -195,15 +161,20 @@ def submit_main(argv: list[str] | None = None) -> int:
                         help="print the final job snapshot as JSON")
     args = parser.parse_args(argv)
     _validate_submit_args(parser, args)
+    spec = None
+    if args.resume is None:
+        kind = "tune" if args.tune_trials is not None else (
+            "train" if args.train else "subsample")
+        spec = RunSpec.from_args(parser, args, kind=kind)
 
     from repro.serve.client import ServeClient, ServeError
 
     client = ServeClient(args.url)
     try:
-        if args.resume is not None:
+        if spec is None:
             job = client.resume(args.resume)
         else:
-            job = client.submit(_build_spec(args))
+            job = client.submit(spec)
         if args.wait and job["status"] not in ("done", "failed", "cancelled"):
             job = client.wait(job["id"], timeout=args.timeout)
         if args.output and job["status"] == "done":
@@ -220,42 +191,6 @@ def submit_main(argv: list[str] | None = None) -> int:
         _print_human(job)
     return 0 if job["status"] in ("done", "checkpointed", "queued",
                                   "running") else 1
-
-
-def _build_spec(args) -> dict:
-    from repro.utils.config import CaseConfig
-
-    kind = "tune" if args.tune is not None else (
-        "train" if args.train else "subsample")
-    spec: dict = {
-        "kind": kind,
-        "case": CaseConfig.from_file(args.case).to_dict(),
-        "seed": args.seed,
-        "ranks": args.ranks,
-        "scale": args.scale,
-        "mode": "stream" if args.stream else "batch",
-        "backend": args.backend,
-        "retries": args.retries,
-    }
-    if args.source:
-        spec["source"] = args.source
-    if args.epochs is not None:
-        spec["epochs"] = args.epochs
-    if args.max_cached_shards is not None:
-        spec["max_cached_shards"] = args.max_cached_shards
-    if args.prefetch is not None:
-        spec["prefetch"] = args.prefetch
-    if args.on_rank_failure:
-        spec["on_rank_failure"] = args.on_rank_failure
-    if args.inject_rank_failure is not None:
-        spec["inject_rank_failure"] = args.inject_rank_failure
-    if args.stream_shuffle:
-        spec["stream_shuffle"] = args.stream_shuffle
-    if kind == "tune":
-        spec["tune_trials"] = args.tune
-    if kind == "train":
-        spec["checkpoint_every"] = args.checkpoint_every
-    return spec
 
 
 def _print_human(job: dict) -> None:

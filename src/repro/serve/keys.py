@@ -101,20 +101,25 @@ def source_fingerprint(
     omitted ``prefetch`` (``None``) keys as the source default, so it and
     the same value spelled out are one job.
     """
+    from repro.data.sources import (
+        DEFAULT_MAX_CACHED,
+        DEFAULT_PREFETCH,
+        _parse_source_spec,
+    )
+
     base = {"dtype": dtype, "scale": float(scale), "seed": int(seed)}
+    if max_cached is None:
+        max_cached = DEFAULT_MAX_CACHED
     if source is None:
         return {"kind": "catalog", **base}
     if source == "sim":
-        return {"kind": "sim", **base,
-                "max_cached": max_cached if max_cached is not None else 2}
-    from repro.data.sources import DEFAULT_PREFETCH, _parse_source_spec
-
+        return {"kind": "sim", **base, "max_cached": max_cached}
     scheme, path, options = _parse_source_spec(source)
     return {
         "kind": scheme,
         "content": dir_fingerprint(path),
         "options": {str(k): str(v) for k, v in options.items()},
-        "max_cached": max_cached if max_cached is not None else 2,
+        "max_cached": max_cached,
         "prefetch": DEFAULT_PREFETCH if prefetch is None else int(prefetch),
         "dtype": dtype,
     }

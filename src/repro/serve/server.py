@@ -3,7 +3,7 @@
 Endpoints (all JSON unless noted)::
 
     GET  /v1/health                liveness
-    POST /v1/jobs                  submit a JobSpec document
+    POST /v1/jobs                  submit a RunSpec document
     GET  /v1/jobs                  list job snapshots
     GET  /v1/jobs/<id>             one snapshot (+ latest progress doc)
     GET  /v1/jobs/<id>/artifact    raw artifact bytes (409 until ready)
@@ -28,8 +28,8 @@ import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.serve.jobs import JobSpec, JobSpecError
 from repro.serve.scheduler import AdmissionRejected, Scheduler, ServiceDraining
+from repro.spec import RunSpec, SpecError
 from repro.utils.log import get_logger
 
 __all__ = ["ReproServer"]
@@ -66,16 +66,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
-            raise JobSpecError("request body must be a JSON object")
+            raise SpecError(None, "request body must be a JSON object")
         if length > _MAX_BODY:
-            raise JobSpecError(f"request body too large ({length} bytes)")
+            raise SpecError(None, f"request body too large ({length} bytes)")
         raw = self.rfile.read(length)
         try:
             doc = json.loads(raw)
         except ValueError as exc:
-            raise JobSpecError(f"request body is not valid JSON: {exc}") from None
+            detail = str(exc).replace("{", "{{").replace("}", "}}")
+            raise SpecError(None, f"request body is not valid JSON: {detail}") from None
         if not isinstance(doc, dict):
-            raise JobSpecError("request body must be a JSON object")
+            raise SpecError(None, "request body must be a JSON object")
         return doc
 
     # ---- routing ----------------------------------------------------------
@@ -94,7 +95,7 @@ class _Handler(BaseHTTPRequestHandler):
                                       "draining": self.app.draining})
             elif method == "POST" and path == "/v1/jobs":
                 self._send_json(200, self.app.scheduler.submit(
-                    JobSpec.from_json(self._read_body())))
+                    RunSpec.from_json(self._read_body())))
             elif method == "GET" and path == "/v1/jobs":
                 self._send_json(200, {"jobs": self.app.scheduler.jobs()})
             elif method == "GET" and path == "/v1/stats":
@@ -106,7 +107,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._route_job(method, path[len("/v1/jobs/"):])
             else:
                 self._send_error_json(404, f"no route {method} {path}")
-        except JobSpecError as exc:
+        except SpecError as exc:
             self._send_error_json(400, str(exc))
         except KeyError as exc:
             self._send_error_json(404, str(exc.args[0] if exc.args else exc))

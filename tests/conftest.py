@@ -56,3 +56,22 @@ def busy_readahead(monkeypatch):
     monkeypatch.setattr(ShardDirSource, "_decode_members", hold)
     yield live_threads
     release.set()
+
+
+@pytest.fixture
+def parser_options(monkeypatch):
+    """A function returning every option string a CLI entry point's
+    parser declares (the parser is stopped before it reads argv)."""
+    import argparse
+
+    def capture(parser, args=None, namespace=None):
+        raise SystemExit(sorted(s for action in parser._actions
+                                for s in action.option_strings))
+
+    def options(main_fn) -> list[str]:
+        with monkeypatch.context() as patch, pytest.raises(SystemExit) as exc:
+            patch.setattr(argparse.ArgumentParser, "parse_args", capture)
+            main_fn([])
+        return exc.value.code
+
+    return options

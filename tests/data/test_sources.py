@@ -16,6 +16,7 @@ from repro.data import (
     save_dataset,
 )
 from repro.data.sources import SnapshotSource
+from repro.parallel.partition import stream_partitions
 from repro.sampling import subsample
 from repro.utils.config import CaseConfig, SharedConfig, SubsampleConfig, TrainConfig
 
@@ -268,14 +269,16 @@ class TestPartitionedSource:
 
     def test_split_covers_source(self, sst):
         base = InMemorySource(sst)
-        parts = PartitionedSource.split(base, 4)
+        parts = [base.span(p.lo, p.hi) for p in stream_partitions(base.n_snapshots, 4)]
+        assert all(isinstance(p, PartitionedSource) for p in parts)
         assert sum(p.n_snapshots for p in parts) == sst.n_snapshots
         seen = [p.snapshot(i).time for p in parts for i in range(p.n_snapshots)]
         assert seen == list(sst.times)
 
     def test_empty_span(self, sst):
         base = InMemorySource(sst)
-        parts = PartitionedSource.split(base, sst.n_snapshots + 2)
+        parts = [base.span(p.lo, p.hi)
+                 for p in stream_partitions(base.n_snapshots, sst.n_snapshots + 2)]
         tail = parts[-1]
         assert tail.n_snapshots == 0
         assert tail.nbytes() == 0

@@ -119,6 +119,23 @@ class TestErrorMapping:
         with pytest.raises(ServeError) as err:
             client.submit(spec(kind="tune", mode="stream", tune_trials=2))
         assert err.value.status == 400
+        # Wrong-typed fields and out-of-range values: a 400 naming the
+        # field, never a dropped connection or an admitted job that fails.
+        for bad, field in (
+            (spec(ranks="2"), "ranks"),
+            (spec(scale=None), "scale"),
+            (spec(seed=True), "seed"),
+            (spec(max_cached_shards=0), "max_cached_shards"),
+            (spec(kind="tune", ranks=1, tune_trials=2, backend="process"),
+             "backend"),
+            (spec(kind="tune", ranks=1, tune_trials=2, tune_strategy="grid"),
+             "tune_strategy"),
+        ):
+            with pytest.raises(ServeError) as err:
+                client.submit(bad)
+            assert err.value.status == 400
+            assert field in str(err.value)
+        assert client.health()["ok"]
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServeError) as err:

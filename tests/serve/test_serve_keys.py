@@ -7,17 +7,18 @@ everything that perturbs artifact bytes (seed, ranks, scale, kind).
 """
 
 import copy
+import re
 
 import pytest
 
 from repro.api import SubsampleArtifact
-from repro.serve.jobs import JobSpec, JobSpecError
 from repro.serve.keys import (
     canonical_json,
     content_key,
     dir_fingerprint,
     source_fingerprint,
 )
+from repro.spec import RunSpec, SpecError
 
 from _serve_cases import TINY_CASE
 
@@ -52,11 +53,11 @@ class TestCanonicalJson:
 
 
 class TestJobSpecKeys:
-    def spec(self, **over) -> JobSpec:
+    def spec(self, **over) -> RunSpec:
         base = {"kind": "subsample", "case": copy.deepcopy(TINY_CASE),
                 "seed": 3, "ranks": 2, "scale": 0.5}
         base.update(over)
-        return JobSpec.from_json(base)
+        return RunSpec.from_json(base)
 
     def test_stable_across_case_dict_ordering(self):
         assert self.spec().content_key() == \
@@ -105,9 +106,107 @@ class TestJobSpecKeys:
             self.spec(kind="train", epochs=3).content_key()
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(JobSpecError, match="unknown job spec field"):
-            JobSpec.from_json({"kind": "subsample", "case": TINY_CASE,
+        with pytest.raises(SpecError, match="unknown job spec field"):
+            RunSpec.from_json({"kind": "subsample", "case": TINY_CASE,
                                "sed": 3})
+
+
+class TestPinnedContentKeys:
+    """Keys recorded with the key scheme at KEY_SCHEMA 2: a store written
+    then must keep answering for the same specs."""
+
+    PINNED = {
+        "batch-catalog": (
+            {"kind": "subsample", "seed": 3, "ranks": 1, "scale": 0.5},
+            "bf2a465f6275927ff37d64abcc953db64d6594e18318928d0617ac1b23e764ee"),
+        "stream-2rank-reweight": (
+            {"kind": "subsample", "seed": 3, "ranks": 2, "scale": 0.5,
+             "mode": "stream", "on_rank_failure": "reweight"},
+            "d4ba943d4f992589b4b20a6aa841e3bfe50f2d8a4c6a907316b3120578e0d60b"),
+        "train-epochs2": (
+            {"kind": "train", "seed": 3, "ranks": 1, "scale": 0.5, "epochs": 2},
+            "2f67dcd822400bcb39f6371800e3ec27a04fe2fb144f22a2b83fa55ad5045242"),
+        "tune-random": (
+            {"kind": "tune", "seed": 3, "scale": 0.5, "tune_trials": 2,
+             "tune_strategy": "random"},
+            "7ff2c7a2d0d8cd0eef78b6fe334b85a04b700c1f9519e2089e0d6cdd6b142a80"),
+        "sim-max-cached-3": (
+            {"kind": "subsample", "seed": 3, "scale": 0.5, "source": "sim",
+             "max_cached_shards": 3},
+            "265e2e4a009a83ab6d330a8a17247360b0269b5d225367de7a7e8891682b89c1"),
+        "shards-prefetch-0": (
+            {"kind": "subsample", "seed": 3, "scale": 0.5, "source": "SHARDS",
+             "prefetch": 0},
+            "f89819d04425195f011039c6413357cf0633e9e0b4a44a38fda5645adb8325f6"),
+    }
+
+    @pytest.fixture(scope="class")
+    def shard_dir(self, tmp_path_factory):
+        from repro.data import build_dataset, save_dataset
+
+        path = str(tmp_path_factory.mktemp("pinned") / "shards")
+        save_dataset(
+            build_dataset("SST-P1F4", scale=0.5, rng=0, n_snapshots=2), path)
+        return path
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_key_matches_recorded_value(self, name, shard_dir):
+        fields, key = self.PINNED[name]
+        if fields.get("source") == "SHARDS":
+            fields = {**fields, "source": shard_dir}
+        spec = RunSpec.from_json({"case": copy.deepcopy(TINY_CASE), **fields})
+        spec.validate()
+        assert spec.content_key() == key
+        assert spec.key_doc()["schema"] == 2
+
+    def test_to_dict_round_trips(self):
+        """Spool job.json records hold to_dict(); a restore parses them."""
+        spec = RunSpec.from_json({"kind": "train", "case": TINY_CASE,
+                                  "seed": 3, "epochs": 2})
+        assert RunSpec.from_json(spec.to_dict()) == spec
+        assert set(spec.to_dict()) == {
+            "kind", "case", "seed", "ranks", "mode", "backend", "source",
+            "scale", "epochs", "max_cached_shards", "prefetch",
+            "on_rank_failure", "stream_shuffle", "inject_rank_failure",
+            "tune_trials", "tune_strategy", "retries", "checkpoint_every"}
+
+
+class TestSubmitTimeRejections:
+    """Specs the service used to admit and then fail at run time (or
+    crash the handler on) are rejected by RunSpec at submit."""
+
+    @pytest.mark.parametrize("over,match", [
+        ({"max_cached_shards": 0}, "max_cached_shards must be >= 1"),
+        ({"max_cached_shards": -2}, "max_cached_shards must be >= 1"),
+        ({"source": "sim", "max_cached_shards": 0},
+         "max_cached_shards must be >= 1"),
+        ({"ranks": 0}, "ranks must be >= 1"),
+        ({"scale": 0}, "scale must be > 0"),
+        ({"kind": "train", "epochs": 0}, "epochs must be >= 1"),
+        ({"kind": "tune", "tune_trials": 2, "backend": "process"},
+         "backend='process' would be silently ignored"),
+        ({"kind": "tune", "tune_trials": 2, "tune_strategy": "grid"},
+         "tune_strategy must be random|bayes"),
+    ])
+    def test_out_of_range_rejected(self, over, match):
+        spec = RunSpec.from_json({"kind": "subsample", "case": TINY_CASE,
+                                  **over})
+        with pytest.raises(SpecError, match=re.escape(match)):
+            spec.validate()
+
+    @pytest.mark.parametrize("over,field", [
+        ({"ranks": "2"}, "ranks"),
+        ({"scale": None}, "scale"),
+        ({"seed": True}, "seed"),
+        ({"epochs": 1.5}, "epochs"),
+        ({"case": [1, 2]}, "case"),
+        ({"source": 3}, "source"),
+    ])
+    def test_wrong_types_rejected(self, over, field):
+        with pytest.raises(SpecError, match=f"^{field} must be") as err:
+            RunSpec.from_json({"kind": "subsample", "case": TINY_CASE,
+                               **over})
+        assert err.value.field == field
 
 
 class TestSourceFingerprint:
@@ -160,9 +259,9 @@ class TestSourceFingerprint:
         assert source_fingerprint(shard_dir, prefetch=DEFAULT_PREFETCH, **kw) == base
         assert source_fingerprint(shard_dir, prefetch=0, **kw) != base
         case = copy.deepcopy(TINY_CASE)
-        omitted = JobSpec.from_json({"kind": "subsample", "case": case,
+        omitted = RunSpec.from_json({"kind": "subsample", "case": case,
                                      "source": shard_dir})
-        spelled = JobSpec.from_json({"kind": "subsample", "case": case,
+        spelled = RunSpec.from_json({"kind": "subsample", "case": case,
                                      "source": shard_dir,
                                      "prefetch": DEFAULT_PREFETCH})
         assert omitted.prefetch is None
@@ -170,13 +269,13 @@ class TestSourceFingerprint:
 
     def test_explicit_prefetch_requires_a_shard_source(self):
         case = copy.deepcopy(TINY_CASE)
-        JobSpec.from_json({"kind": "subsample", "case": case}).validate()
+        RunSpec.from_json({"kind": "subsample", "case": case}).validate()
         for value in (0, 2):
-            with pytest.raises(JobSpecError, match="shard-directory"):
-                JobSpec.from_json({"kind": "subsample", "case": case,
+            with pytest.raises(SpecError, match="shard-directory"):
+                RunSpec.from_json({"kind": "subsample", "case": case,
                                    "prefetch": value}).validate()
-        with pytest.raises(JobSpecError, match=">= 0"):
-            JobSpec.from_json({"kind": "subsample", "case": case, "source": "x",
+        with pytest.raises(SpecError, match=">= 0"):
+            RunSpec.from_json({"kind": "subsample", "case": case, "source": "x",
                                "prefetch": -1}).validate()
 
 

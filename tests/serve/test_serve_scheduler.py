@@ -14,7 +14,6 @@ import time
 import pytest
 
 import repro.serve.scheduler as sched_mod
-from repro.serve.jobs import JobSpec
 from repro.serve.runner import JobOutcome, STOP_FILE
 from repro.serve.scheduler import (
     AdmissionPolicy,
@@ -23,15 +22,16 @@ from repro.serve.scheduler import (
     ServiceDraining,
 )
 from repro.serve.store import ArtifactStore
+from repro.spec import RunSpec
 
 from _serve_cases import TINY_CASE
 
 
-def make_spec(**over) -> JobSpec:
+def make_spec(**over) -> RunSpec:
     base = {"kind": "subsample", "case": copy.deepcopy(TINY_CASE),
             "seed": 3, "ranks": 1, "scale": 0.5}
     base.update(over)
-    return JobSpec.from_json(base)
+    return RunSpec.from_json(base)
 
 
 def wait_for(predicate, timeout: float = 10.0, what: str = "condition"):

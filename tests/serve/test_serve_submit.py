@@ -133,42 +133,62 @@ class TestSubmitAgainstLiveServer:
 
 
 class TestSpecParity:
-    def test_cli_spec_matches_direct_spec_key(self, case_file):
+    @pytest.fixture()
+    def posted(self, monkeypatch):
+        """Record the documents repro-submit posts (no server needed)."""
+        from repro.serve.client import ServeClient
+
+        docs = []
+
+        def fake_submit(self, spec):
+            docs.append(spec.to_dict())
+            return {"id": "j000001", "status": "queued"}
+
+        monkeypatch.setattr(ServeClient, "submit", fake_submit)
+        return docs
+
+    def test_cli_spec_matches_direct_spec_key(self, case_file, posted):
         """A spec built from CLI flags and one built from the raw dict must
-        hash to the same content key (CLI round-trips through CaseConfig)."""
-        import argparse
+        hash to the same content key (the case file and the dict are one
+        case)."""
+        from repro.spec import RunSpec
 
-        from repro.serve.cli import _build_spec
-        from repro.serve.jobs import JobSpec
-
-        args = argparse.Namespace(
-            tune=None, train=False, case=case_file, seed=3, ranks=2,
-            scale=0.5, stream=False, backend="thread", retries=0,
-            source=None, epochs=None, max_cached_shards=None, prefetch=0,
-            on_rank_failure=None,
-            inject_rank_failure=None, stream_shuffle=0, checkpoint_every=1)
-        via_cli = JobSpec.from_json(_build_spec(args)).content_key()
-        direct = JobSpec.from_json({
+        assert submit_main([case_file, "--seed", "3", "--ranks", "2",
+                            "--scale", "0.5", "--no-wait"]) == 0
+        via_cli = RunSpec.from_json(posted[0]).content_key()
+        direct = RunSpec.from_json({
             "kind": "subsample", "case": copy.deepcopy(TINY_CASE),
             "seed": 3, "ranks": 2, "scale": 0.5}).content_key()
         assert via_cli == direct
 
-    def test_prefetch_sent_only_when_given(self, case_file):
-        """An omitted --prefetch leaves the source default to the server; an
-        explicit value, 0 included, is sent."""
-        import argparse
+    def test_prefetch_sent_only_when_given(self, case_file, posted):
+        """An omitted --prefetch leaves the source default to the server
+        (null); an explicit value, 0 included, is sent."""
+        for flags in ([], ["--prefetch", "0"], ["--prefetch", "3"]):
+            assert submit_main([case_file, "--source", "shards/", "--no-wait",
+                                *flags]) == 0
+        assert [doc["prefetch"] for doc in posted] == [None, 0, 3]
 
-        from repro.serve.cli import _build_spec
 
-        def spec(prefetch):
-            return _build_spec(argparse.Namespace(
-                tune=None, train=False, case=case_file, seed=0, ranks=1,
-                scale=0.5, stream=False, backend="thread", retries=0,
-                source="shards/", epochs=None, max_cached_shards=None,
-                prefetch=prefetch, on_rank_failure=None,
-                inject_rank_failure=None, stream_shuffle=0,
-                checkpoint_every=1))
+class TestSubmitRunSpecRules:
+    @pytest.mark.parametrize("flags,match", [
+        (["--ranks", "0"], "--ranks must be >= 1"),
+        (["--scale", "0"], "--scale must be > 0"),
+        (["--train", "--epochs", "0"], "--epochs must be >= 1"),
+        (["--source", "sim", "--max-cached-shards", "0"],
+         "--max-cached-shards must be >= 1"),
+        (["--tune", "2", "--backend", "process"],
+         "--backend process would be silently ignored"),
+    ])
+    def test_out_of_range_is_an_argparse_error(self, case_file, capsys,
+                                               flags, match):
+        rejects([case_file, *flags], match, capsys)
 
-        assert "prefetch" not in spec(None)
-        assert spec(0)["prefetch"] == 0
-        assert spec(3)["prefetch"] == 3
+    def test_option_strings_unchanged(self, parser_options):
+        assert parser_options(submit_main) == [
+            "--backend", "--checkpoint-every", "--epochs", "--help",
+            "--inject-rank-failure", "--json", "--max-cached-shards",
+            "--no-wait", "--on-rank-failure", "--output", "--prefetch",
+            "--ranks", "--resume", "--retries", "--scale", "--seed",
+            "--source", "--stream", "--stream-shuffle", "--timeout",
+            "--train", "--tune", "--url", "--wait", "-h"]

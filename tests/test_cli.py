@@ -369,6 +369,60 @@ class TestTrainFlagValidation:
         assert "no effect" in captured.err
 
 
+class TestRunSpecRules:
+    """Out-of-range values and bad case files fail at the parser (exit 2,
+    ``error:`` on stderr) instead of as a traceback from deep in a run."""
+
+    @pytest.mark.parametrize("main_fn,flags,match", [
+        (subsample_main, ["--ranks", "0"], "--ranks must be >= 1"),
+        (subsample_main, ["--scale", "0"], "--scale must be > 0"),
+        (subsample_main, ["--max-cached-shards", "0", "--source", "sim"],
+         "--max-cached-shards must be >= 1"),
+        (subsample_main, ["--max-cached-shards", "0"],
+         "--max-cached-shards must be >= 1"),
+        (train_main, ["--epochs", "0"], "--epochs must be >= 1"),
+        (train_main, ["--ranks", "0"], "--ranks must be >= 1"),
+        (train_main, ["--tune", "2", "--backend", "process"],
+         "--tune trials run serially; --backend process"),
+    ])
+    def test_out_of_range_is_an_argparse_error(self, sst_case, capsys,
+                                               main_fn, flags, match):
+        with pytest.raises(SystemExit) as exc:
+            main_fn([sst_case, *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and match in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("main_fn", [subsample_main, train_main])
+    def test_bad_case_config_is_an_argparse_error(self, tmp_path, capsys,
+                                                  main_fn):
+        path = tmp_path / "bad.yaml"
+        path.write_text(SST_CASE.replace("method: maxent", "method: nope"))
+        with pytest.raises(SystemExit) as exc:
+            main_fn([str(path)])
+        assert exc.value.code == 2
+        assert "invalid case config" in capsys.readouterr().err
+
+    def test_missing_case_file_is_an_argparse_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            subsample_main([str(tmp_path / "absent.yaml")])
+        assert exc.value.code == 2
+        assert "cannot read case file" in capsys.readouterr().err
+
+    def test_option_strings_unchanged(self, parser_options):
+        assert parser_options(subsample_main) == [
+            "--backend", "--help", "--inject-rank-failure",
+            "--max-cached-shards", "--on-rank-failure", "--output_dir",
+            "--prefetch", "--ranks", "--scale", "--seed", "--source",
+            "--stream", "-h"]
+        assert parser_options(train_main) == [
+            "--backend", "--checkpoint", "--checkpoint-every", "--epochs",
+            "--help", "--max-cached-shards", "--prefetch", "--ranks",
+            "--resume", "--scale", "--seed", "--source", "--stream", "--tune",
+            "-h"]
+
+
 class TestDispatcher:
     def test_usage_on_bad_command(self, capsys):
         assert main(["frobnicate"]) == 2
